@@ -1,8 +1,8 @@
 """Command-line front end: single queries, verification sweeps, trace sums.
 
-Exit codes: 0 success, 1 an exact comparison failed, 2 invalid input,
-3 a brute-force enumeration was refused by the size bound. Values are always
-rendered as "p/q" in lowest terms, never as decimals.
+Exit codes: 0 success, 1 an exact comparison or an internal self-check
+failed, 2 invalid input, 3 a brute-force enumeration was refused by the size
+bound. Values are always rendered as "p/q" in lowest terms, never as decimals.
 """
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ import io
 import json
 import sys
 from fractions import Fraction
-from typing import Optional
 
 import click
 
@@ -152,6 +151,8 @@ def compute(n_text: str, k: int, cycle_text: str, method: str, fmt: str, oracle_
             record["value"] = render(value)
     except OracleBoundExceeded as exc:
         _fail(str(exc), 3)
+    except AssertionError as exc:
+        _fail(str(exc), 1)
     record = {
         key: record[key]
         for key in ("n", "k", "cycle", "method", "value", "multiplicity", "agreement")
@@ -171,16 +172,21 @@ def compute(n_text: str, k: int, cycle_text: str, method: str, fmt: str, oracle_
     show_default=True,
 )
 @click.option("--oracle-bound", type=int, default=DEFAULT_BOUND, show_default=True)
-@click.option("--threads", type=int, default=None, help="Worker threads; default: all cores.")
-def verify(max_block: int, suite: str, oracle_bound: int, threads: Optional[int]):
-    """Run exhaustive exact sweeps of the closed forms against the oracles."""
+def verify(max_block: int, suite: str, oracle_bound: int):
+    """Run exhaustive exact sweeps of the closed forms against the oracles.
+
+    Comparisons run serially in a fixed order; the first one whose enumeration
+    exceeds --oracle-bound stops the run with exit code 3.
+    """
     if max_block < 1:
         _fail(f"--max-block must be >= 1, got {max_block}", 2)
     names = sorted(SUITES) if suite == "all" else [suite]
     try:
-        reports = run_suites(names, max_block, oracle_bound, threads)
+        reports = run_suites(names, max_block, oracle_bound)
     except OracleBoundExceeded as exc:
         _fail(str(exc), 3)
+    except AssertionError as exc:
+        _fail(str(exc), 1)
     for report in reports:
         click.echo(report.summary())
     if not all(report.passed for report in reports):
@@ -207,8 +213,11 @@ def eigsum(n_text: str, k: int, d_text: str, kappa_text: str, p: int, diagnose: 
             raise ValueError(f"need three comma-separated degrees, got {d_text!r}")
         degrees = DegreeTriple(*parts, kappa=kappa)
         value = eigenvalue_sum(n, degrees, k, p)
+        diagnostic = kappa_zero_diagnostic(n, degrees, k, p) if diagnose else None
     except ValueError as exc:
         _fail(str(exc), 2)
+    except AssertionError as exc:
+        _fail(str(exc), 1)
     record = {
         "n": list(n.sizes),
         "k": k,
@@ -217,8 +226,7 @@ def eigsum(n_text: str, k: int, d_text: str, kappa_text: str, p: int, diagnose: 
         "order": p,
         "value": render(value),
     }
-    if diagnose:
-        diagnostic = kappa_zero_diagnostic(n, degrees, k, p)
+    if diagnostic is not None:
         record["diagnostic"] = {
             "formula": render(diagnostic.formula),
             "reference": render(diagnostic.reference),

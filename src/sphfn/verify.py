@@ -7,15 +7,13 @@ returns no failures is a machine-checked proof of the formulas on that range.
 from __future__ import annotations
 
 import itertools
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
 from .characters import m_range
 from .closed_form import phi_2cycle, phi_3cycle
 from .core import BlockTriple, embed_cycle
-from .hahn import HahnContext, psi_table
+from .hahn import CoeffTable, HahnContext, psi_table
 from .invariant_calculus import (
     apply_rho_g2,
     check_difference_equation,
@@ -59,107 +57,67 @@ def _k_values(n: BlockTriple) -> range:
     return range(0, n.N // 2 + 1)
 
 
-def _check_twocycle(args: tuple[BlockTriple, int, tuple[int, int], int]) -> Optional[str]:
-    n, k, pair, bound = args
-    closed = phi_2cycle(n, k, pair)
-    oracle = phi_character_oracle(n, k, embed_cycle(pair, n), bound)
-    if closed != oracle:
-        return f"n={n.sizes} k={k} pair={pair}: closed {closed} != oracle {oracle}"
-    return None
+def verify_twocycle(max_block: int, bound: int) -> Iterator[Optional[str]]:
+    for n in block_triples(max_block):
+        for k in _k_values(n):
+            for pair in PAIRS:
+                closed = phi_2cycle(n, k, pair)
+                oracle = phi_character_oracle(n, k, embed_cycle(pair, n), bound)
+                if closed != oracle:
+                    yield f"n={n.sizes} k={k} pair={pair}: closed {closed} != oracle {oracle}"
+                else:
+                    yield None
 
 
-def _check_threecycle(args: tuple[BlockTriple, int, int]) -> Optional[str]:
-    n, k, bound = args
-    closed = phi_3cycle(n, k)
-    oracle = phi_character_oracle(n, k, embed_cycle((1, 2, 3), n), bound)
-    if closed != oracle:
-        return f"n={n.sizes} k={k}: closed {closed} != oracle {oracle}"
-    return None
+def verify_threecycle(max_block: int, bound: int) -> Iterator[Optional[str]]:
+    for n in block_triples(max_block):
+        for k in _k_values(n):
+            closed = phi_3cycle(n, k)
+            oracle = phi_character_oracle(n, k, embed_cycle((1, 2, 3), n), bound)
+            if closed != oracle:
+                yield f"n={n.sizes} k={k}: closed {closed} != oracle {oracle}"
+            else:
+                yield None
 
 
-def _check_eigen(args: tuple[BlockTriple, int, int]) -> Optional[str]:
-    n, k, m = args
-    table = psi_table(HahnContext(n, k, m))
-    expected = table.scaled(g2_eigenvalue(m, n.n1, n.n2))
-    if apply_rho_g2(table) != expected:
-        return f"n={n.sizes} k={k} m={m}: averaged 2-cycle action is not scalar"
-    return None
+def _psi_tables(max_block: int) -> Iterator[tuple[BlockTriple, int, int, CoeffTable]]:
+    for n in block_triples(max_block):
+        for k in _k_values(n):
+            m_lower, m_upper = m_range(n, k)
+            for m in range(m_lower, m_upper + 1):
+                yield n, k, m, psi_table(HahnContext(n, k, m))
 
 
-def _check_diffeq_psi(args: tuple[BlockTriple, int, int]) -> Optional[str]:
-    n, k, m = args
-    if not check_difference_equation(psi_table(HahnContext(n, k, m))):
-        return f"n={n.sizes} k={k} m={m}: basis table fails the difference equation"
-    return None
+def verify_eigen(max_block: int, bound: int) -> Iterator[Optional[str]]:
+    for n, k, m, table in _psi_tables(max_block):
+        if apply_rho_g2(table) != table.scaled(g2_eigenvalue(m, n.n1, n.n2)):
+            yield f"n={n.sizes} k={k} m={m}: averaged 2-cycle action is not scalar"
+        else:
+            yield None
 
 
-def _check_diffeq_module(args: tuple[BlockTriple, int, int]) -> Optional[str]:
-    n, k, bound = args
+def _module_failure(n: BlockTriple, k: int, bound: int) -> Optional[str]:
     for i, vec in enumerate(invariants_in_Vk(n, k, bound)):
         if not check_difference_equation(coeff_table_from_invariant(vec, n)):
             return f"n={n.sizes} k={k} vector {i}: fails the difference equation"
     return None
 
 
-def _map(check: Callable, queries: list, threads: Optional[int]) -> list[Optional[str]]:
-    if threads is None:
-        threads = os.cpu_count() or 1
-    if threads <= 1 or len(queries) <= 1:
-        return [check(q) for q in queries]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(check, queries))
-
-
-def verify_twocycle(
-    max_block: int = 3, bound: int = DEFAULT_BOUND, threads: Optional[int] = None
-) -> SweepReport:
-    queries = [
-        (n, k, pair, bound)
-        for n in block_triples(max_block)
-        for k in _k_values(n)
-        for pair in PAIRS
-    ]
-    results = _map(_check_twocycle, queries, threads)
-    return SweepReport("twocycle", len(queries), [r for r in results if r])
-
-
-def verify_threecycle(
-    max_block: int = 3, bound: int = DEFAULT_BOUND, threads: Optional[int] = None
-) -> SweepReport:
-    queries = [(n, k, bound) for n in block_triples(max_block) for k in _k_values(n)]
-    results = _map(_check_threecycle, queries, threads)
-    return SweepReport("threecycle", len(queries), [r for r in results if r])
-
-
-def verify_eigen(
-    max_block: int = 3, bound: int = DEFAULT_BOUND, threads: Optional[int] = None
-) -> SweepReport:
-    queries = []
+def verify_diffeq(max_block: int, bound: int) -> Iterator[Optional[str]]:
+    """The Hahn basis tables first, then the module oracle's invariants."""
+    for n, k, m, table in _psi_tables(max_block):
+        if not check_difference_equation(table):
+            yield f"n={n.sizes} k={k} m={m}: basis table fails the difference equation"
+        else:
+            yield None
     for n in block_triples(max_block):
         for k in _k_values(n):
-            m_lower, m_upper = m_range(n, k)
-            queries.extend((n, k, m) for m in range(m_lower, m_upper + 1))
-    results = _map(_check_eigen, queries, threads)
-    return SweepReport("eigen", len(queries), [r for r in results if r])
+            yield _module_failure(n, k, bound)
 
 
-def verify_diffeq(
-    max_block: int = 3, bound: int = DEFAULT_BOUND, threads: Optional[int] = None
-) -> SweepReport:
-    psi_queries = []
-    module_queries = []
-    for n in block_triples(max_block):
-        for k in _k_values(n):
-            m_lower, m_upper = m_range(n, k)
-            psi_queries.extend((n, k, m) for m in range(m_lower, m_upper + 1))
-            module_queries.append((n, k, bound))
-    results = _map(_check_diffeq_psi, psi_queries, threads)
-    results += _map(_check_diffeq_module, module_queries, threads)
-    total = len(psi_queries) + len(module_queries)
-    return SweepReport("diffeq", total, [r for r in results if r])
-
-
-SUITES: dict[str, Callable[..., SweepReport]] = {
+# Each suite yields one entry per comparison, in a fixed order: None when it
+# agrees, the counterexample otherwise.
+SUITES: dict[str, Callable[[int, int], Iterator[Optional[str]]]] = {
     "twocycle": verify_twocycle,
     "threecycle": verify_threecycle,
     "eigen": verify_eigen,
@@ -167,18 +125,20 @@ SUITES: dict[str, Callable[..., SweepReport]] = {
 }
 
 
-def run_suite(
-    name: str, max_block: int = 3, bound: int = DEFAULT_BOUND, threads: Optional[int] = None
-) -> SweepReport:
+def run_suite(name: str, max_block: int = 3, bound: int = DEFAULT_BOUND) -> SweepReport:
+    """Run one suite serially; an oracle refusal propagates at the first
+    triple over the bound."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    return SUITES[name](max_block, bound, threads)
+    report = SweepReport(name)
+    for failure in SUITES[name](max_block, bound):
+        report.comparisons += 1
+        if failure:
+            report.failures.append(failure)
+    return report
 
 
 def run_suites(
-    names: list[str],
-    max_block: int = 3,
-    bound: int = DEFAULT_BOUND,
-    threads: Optional[int] = None,
+    names: list[str], max_block: int = 3, bound: int = DEFAULT_BOUND
 ) -> list[SweepReport]:
-    return [run_suite(name, max_block, bound, threads) for name in names]
+    return [run_suite(name, max_block, bound) for name in names]

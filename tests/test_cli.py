@@ -5,9 +5,9 @@ import json
 import pytest
 from click.testing import CliRunner
 
+import sphfn.closed_form
 import sphfn.verify
 from sphfn.cli import main, render
-from sphfn.verify import SweepReport
 
 
 @pytest.fixture
@@ -170,11 +170,14 @@ class TestVerify:
         assert "0 failures" in result.output
 
     def test_all_suites(self, runner):
-        result = runner.invoke(main, ["verify", "--max-block", "2", "--threads", "2"])
+        result = runner.invoke(main, ["verify", "--max-block", "2"])
         assert result.exit_code == 0, result.output
-        lines = result.output.strip().split("\n")
-        assert len(lines) == 4
-        assert all("0 failures" in line for line in lines)
+        assert result.output == (
+            "diffeq: 61 comparisons, 0 failures\n"
+            "eigen: 37 comparisons, 0 failures\n"
+            "threecycle: 24 comparisons, 0 failures\n"
+            "twocycle: 72 comparisons, 0 failures\n"
+        )
 
     def test_bad_max_block(self, runner):
         result = runner.invoke(main, ["verify", "--max-block", "0"])
@@ -187,9 +190,19 @@ class TestVerify:
         )
         assert result.exit_code == 3, result.output
 
+    def test_refusal_is_immediate(self, runner):
+        # Refused at n = (1, 1, 2), the first triple over the bound, after
+        # the six comparisons at (1, 1, 1); the rest of the sweep is never built.
+        result = runner.invoke(
+            main,
+            ["verify", "--max-block", "40", "--suite", "twocycle", "--oracle-bound", "1"],
+        )
+        assert result.exit_code == 3, result.output
+        assert "n = (1, 1, 2)" in result.stderr
+
     def test_failing_suite_exits_one(self, runner, monkeypatch):
-        def broken(max_block, bound, threads):
-            return SweepReport("twocycle", comparisons=1, failures=["injected mismatch"])
+        def broken(max_block, bound):
+            yield "injected mismatch"
 
         monkeypatch.setitem(sphfn.verify.SUITES, "twocycle", broken)
         result = runner.invoke(main, ["verify", "--max-block", "1", "--suite", "twocycle"])
@@ -270,3 +283,26 @@ class TestEigsum:
         )
         assert result.exit_code == 0, result.output
         assert json.loads(result.output)["diagnostic"]["agree"] is True
+
+
+class TestSelfCheckFailure:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["compute", "--n", "2,2,2", "--k", "1", "--cycle", "1,2,3"],
+            ["verify", "--max-block", "1", "--suite", "threecycle"],
+            ["eigsum", "--n", "2,2,2", "--k", "1", "--d", "2,1,0", "--order", "2"],
+        ],
+    )
+    def test_disagreeing_regroupings_exit_one(self, runner, monkeypatch, args):
+        """A failed 3-cycle self-check is reported as an error, not a traceback."""
+        from fractions import Fraction
+
+        monkeypatch.setattr(
+            sphfn.closed_form, "_phi_3cycle_redundant", lambda n, k: Fraction(-12345)
+        )
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith("error: 3-cycle regroupings disagree")
+        assert "Traceback" not in result.output

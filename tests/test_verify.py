@@ -38,12 +38,6 @@ class TestSweeps:
         reports = run_suites(["twocycle", "diffeq"], max_block=1)
         assert [r.suite for r in reports] == ["twocycle", "diffeq"]
 
-    def test_serial_matches_parallel(self):
-        serial = run_suite("eigen", max_block=2, threads=1)
-        parallel = run_suite("eigen", max_block=2, threads=4)
-        assert serial.comparisons == parallel.comparisons
-        assert serial.passed and parallel.passed
-
     def test_bound_refusal_propagates(self):
         with pytest.raises(OracleBoundExceeded):
             run_suite("twocycle", max_block=2, bound=1)
