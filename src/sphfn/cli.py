@@ -1,7 +1,7 @@
 """Command-line front end: single queries, verification sweeps, trace sums.
 
 Exit codes: 0 success, 1 an exact comparison or an internal self-check
-failed, 2 invalid input, 3 a brute-force enumeration was refused by the size
+failed, 2 invalid input, 3 a brute-force oracle was refused by the size
 bound. Values are always rendered as "p/q" in lowest terms, never as decimals.
 """
 from __future__ import annotations
@@ -103,7 +103,14 @@ def main():
     show_default=True,
 )
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json", show_default=True)
-@click.option("--oracle-bound", type=int, default=DEFAULT_BOUND, show_default=True)
+@click.option(
+    "--oracle-bound",
+    type=int,
+    default=DEFAULT_BOUND,
+    show_default=True,
+    help="Cap on brute-force size: the subgroup order n1! n2! n3! for the "
+    "character oracle, C(N, k) for the module oracle. Past it, exit 3.",
+)
 def compute(n_text: str, k: int, cycle_text: str, method: str, fmt: str, oracle_bound: int):
     """Evaluate one averaged character value."""
     n = _parse_blocks(n_text)
@@ -171,11 +178,18 @@ def compute(n_text: str, k: int, cycle_text: str, method: str, fmt: str, oracle_
     default="all",
     show_default=True,
 )
-@click.option("--oracle-bound", type=int, default=DEFAULT_BOUND, show_default=True)
+@click.option(
+    "--oracle-bound",
+    type=int,
+    default=DEFAULT_BOUND,
+    show_default=True,
+    help="Cap on brute-force size: the subgroup order n1! n2! n3! for the "
+    "character oracle, C(N, k) for the module oracle. Past it, exit 3.",
+)
 def verify(max_block: int, suite: str, oracle_bound: int):
     """Run exhaustive exact sweeps of the closed forms against the oracles.
 
-    Comparisons run serially in a fixed order; the first one whose enumeration
+    Comparisons run serially in a fixed order; the first one whose oracle
     exceeds --oracle-bound stops the run with exit code 3.
     """
     if max_block < 1:

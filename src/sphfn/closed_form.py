@@ -232,6 +232,8 @@ def phi_2cycle_two_factor(n1: int, n2: int, k: int) -> Fraction:
     single quadratic. Kept separate from the three-block machinery; the core
     grids and operators stay three-block throughout.
     """
+    if n1 < 1 or n2 < 1:
+        raise ValueError(f"block sizes must be >= 1, got ({n1}, {n2})")
     if not 0 <= k <= min(n1, n2):
         raise ValueError(f"need 0 <= k <= min(n1, n2), got k = {k}, n = ({n1}, {n2})")
     return Fraction(n1 * n2 - (n1 + n2) * k + k * (k - 1), n1 * n2)

@@ -2,17 +2,22 @@
 
 Two oracles, independent of each other and of the Hahn machinery:
 
-* the character oracle averages Murnaghan-Nakayama values over an explicitly
-  enumerated subgroup coset, straight from the definition;
+* the character oracle averages Murnaghan-Nakayama values over a subgroup
+  coset. When the coset's representative is the identity or one cycle with at
+  most one moved point per block, it counts the coset's cycle types class by
+  class, block by block; for any other representative it enumerates the
+  coset, straight from the definition;
 * the module oracle realizes the irreducible module inside the space spanned
   by squarefree degree-k monomials, cut out by the vanishing of the divergence,
   and takes the trace of project-then-translate on its invariant vectors.
 
-Both are exponential or worse in N and guarded accordingly; they exist to be
-right, not fast.
+Both refuse to run past a size bound: the subgroup order n1! n2! n3! for the
+character oracle, C(N, k) for the module oracle. They exist to be right, not
+fast.
 """
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -21,7 +26,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from . import linalg
-from .characters import mn_character, two_row
+from .characters import centralizer_order, mn_character, two_row
 from .core import (
     BlockTriple,
     Partition,
@@ -29,7 +34,7 @@ from .core import (
     binom,
     compose,
     cycle_type,
-    young_subgroup_elements,
+    partitions,
 )
 from .hahn import CoeffTable, admissible_grid
 
@@ -53,23 +58,83 @@ class OracleBoundExceeded(Exception):
     """Raised when a brute-force enumeration would exceed the configured bound."""
 
 
-@functools.lru_cache(maxsize=None)
-def _coset_type_counts(
-    sizes: tuple[int, int, int], g_images: tuple[int, ...]
-) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Cycle-type histogram of {g h : h in the block subgroup}, cached."""
-    n = BlockTriple(*sizes)
+Histogram = tuple[tuple[tuple[int, ...], int], ...]
+
+
+def _enumerated_type_counts(sizes: tuple[int, ...], g_images: tuple[int, ...]) -> Histogram:
+    """Cycle-type histogram of {g h : h in the block subgroup}, by enumeration.
+
+    The blocks are consecutive intervals of the given sizes; any g is allowed.
+    """
     g = Permutation(g_images)
+    starts = itertools.accumulate(sizes, initial=1)
+    blocks = [itertools.permutations(range(s, s + m)) for s, m in zip(starts, sizes)]
     counts: Counter = Counter()
-    for h in young_subgroup_elements(n):
+    for parts in itertools.product(*blocks):
+        h = Permutation(itertools.chain.from_iterable(parts))
         counts[cycle_type(compose(g, h)).parts] += 1
     return tuple(sorted(counts.items()))
+
+
+def _class_type_counts(sizes: tuple[int, ...], marked: tuple[bool, ...]) -> Histogram:
+    """Cycle-type histogram of {g h : h in the block subgroup}, by class counting.
+
+    Here g is the identity or one cycle through one point of each marked
+    block. The cycle type of g h is that of h, except that the h-cycles
+    through g's moved points merge into one, whose length is their sum. In a
+    marked block of size m, (m-1)!/z_nu permutations put the marked point on
+    an L-cycle and give the other points the type nu of m - L; in an unmarked
+    block, m!/z_nu permutations have the type nu of m.
+    """
+    # (merged length, other cycle lengths) -> number of h, one block at a time
+    states: Counter = Counter({(0, ()): 1})
+    for m, is_marked in zip(sizes, marked):
+        if is_marked:
+            options = [
+                (L, nu.parts, math.factorial(m - 1) // centralizer_order(nu))
+                for L in range(1, m + 1)
+                for nu in partitions(m - L)
+            ]
+        else:
+            options = [
+                (0, nu.parts, math.factorial(m) // centralizer_order(nu))
+                for nu in partitions(m)
+            ]
+        grown: Counter = Counter()
+        for (merged, rest), count in states.items():
+            for L, parts, ways in options:
+                grown[merged + L, tuple(sorted(rest + parts, reverse=True))] += count * ways
+        states = grown
+    counts: Counter = Counter()
+    for (merged, rest), count in states.items():
+        parts = rest + (merged,) if merged else rest
+        counts[tuple(sorted(parts, reverse=True))] += count
+    return tuple(sorted(counts.items()))
+
+
+@functools.lru_cache(maxsize=None)
+def _coset_type_counts(sizes: tuple[int, int, int], g_images: tuple[int, ...]) -> Histogram:
+    """Cycle-type histogram of {g h : h in the block subgroup}, cached.
+
+    Counted by class when g moves at most one point per block: with three
+    blocks that is at most three moved points, so g is the identity or one
+    cycle. Any other g is enumerated.
+    """
+    ends = list(itertools.accumulate(sizes))
+    blocks = [bisect.bisect_left(ends, i) for i, image in enumerate(g_images, 1) if image != i]
+    if len(set(blocks)) < len(blocks):
+        return _enumerated_type_counts(sizes, g_images)
+    return _class_type_counts(sizes, tuple(b in blocks for b in range(len(sizes))))
 
 
 def phi_character_oracle(
     n: BlockTriple, k: int, g: Permutation, bound: int = DEFAULT_BOUND
 ) -> Fraction:
-    """Average of the two-row character over the coset of g, by enumeration."""
+    """Average of the two-row character over the coset of g.
+
+    The bound caps the subgroup order n1! n2! n3!, however the coset's cycle
+    types are counted.
+    """
     if g.N != n.N:
         raise ValueError(f"permutation acts on {g.N} points, blocks cover {n.N}")
     order = math.factorial(n.n1) * math.factorial(n.n2) * math.factorial(n.n3)
@@ -85,18 +150,9 @@ def phi_character_oracle(
 
 
 @functools.lru_cache(maxsize=None)
-def _two_factor_type_counts(n1: int, n2: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    N = n1 + n2
-    g = Permutation.from_cycle([1, n1 + 1], N)
-    blocks = [
-        list(itertools.permutations(range(1, n1 + 1))),
-        list(itertools.permutations(range(n1 + 1, N + 1))),
-    ]
-    counts: Counter = Counter()
-    for part1, part2 in itertools.product(*blocks):
-        h = Permutation(part1 + part2)
-        counts[cycle_type(compose(g, h)).parts] += 1
-    return tuple(sorted(counts.items()))
+def _two_factor_type_counts(n1: int, n2: int) -> Histogram:
+    """Cycle-type histogram of the coset of the 2-cycle joining two blocks."""
+    return _class_type_counts((n1, n2), (True, True))
 
 
 def two_factor_character_oracle(
@@ -104,8 +160,11 @@ def two_factor_character_oracle(
 ) -> Fraction:
     """Same average for two blocks only, at the 2-cycle joining them.
 
-    Enumerated directly here; the rest of the package stays three-block.
+    Counted directly here; the rest of the package stays three-block. The
+    bound caps the subgroup order n1! n2!.
     """
+    if n1 < 1 or n2 < 1:
+        raise ValueError(f"block sizes must be >= 1, got ({n1}, {n2})")
     N = n1 + n2
     if k < 0 or 2 * k > N:
         raise ValueError(f"need 0 <= 2k <= N, got k = {k}, N = {N}")

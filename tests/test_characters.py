@@ -63,6 +63,20 @@ class TestMurnaghanNakayama:
             total = sum(table[(lam, mu)] * table[(lam, nu)] for lam in shapes)
             assert total == (centralizer_order(mu) if mu == nu else 0)
 
+    def test_two_row_values_follow_youngs_rule(self):
+        """chi^[N-k,k] = f_k - f_(k-1), with f_j the t^j coefficient of
+        the product over cycles of (1 + t^len): Young's rule, an independent
+        path to the two-row characters."""
+        for N in range(1, 16):
+            for mu in partitions(N):
+                f = [1] + [0] * N
+                for length in mu:
+                    for j in range(N, length - 1, -1):
+                        f[j] += f[j - length]
+                for k in range(N // 2 + 1):
+                    expected = f[k] - (f[k - 1] if k else 0)
+                    assert mn_character(two_row(N, k), mu) == expected, (mu, k)
+
     def test_centralizer_orders_sum_to_group_order(self):
         for N in range(1, 7):
             assert sum(

@@ -246,6 +246,11 @@ class TestTwoFactor:
         with pytest.raises(ValueError):
             phi_2cycle_two_factor(2, 3, -1)
 
+    @pytest.mark.parametrize("n1,n2", [(0, 3), (3, 0)])
+    def test_rejects_empty_block(self, n1, n2):
+        with pytest.raises(ValueError, match=rf"\({n1}, {n2}\)"):
+            phi_2cycle_two_factor(n1, n2, 0)
+
     def test_matches_top_eigenvalue(self):
         """The unique invariant sits at index k, so the value is its eigenvalue."""
         for n1 in range(1, 7):

@@ -1,11 +1,19 @@
 import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from sphfn import linalg
 from sphfn.characters import mn_character, multiplicity, two_row
-from sphfn.closed_form import phi_2cycle_two_factor, phi_closed_form, SphericalQuery
+from sphfn.closed_form import (
+    SphericalQuery,
+    phi_2cycle,
+    phi_2cycle_two_factor,
+    phi_3cycle,
+    phi_closed_form,
+)
 from sphfn.core import (
     BlockTriple,
     Permutation,
@@ -18,6 +26,9 @@ from sphfn.invariant_calculus import check_difference_equation
 from sphfn.oracle import (
     OracleBoundExceeded,
     VkVector,
+    _coset_type_counts,
+    _enumerated_type_counts,
+    _two_factor_type_counts,
     build_Vk_basis,
     coeff_table_from_invariant,
     invariants_in_Vk,
@@ -80,6 +91,66 @@ class TestCharacterOracle:
         with pytest.raises(ValueError):
             phi_character_oracle(BlockTriple(1, 1, 1), 1, Permutation.identity(4))
 
+    def test_matches_closed_forms_to_block_six(self):
+        for n in small_triples(6):
+            for k in range(n.N // 2 + 1):
+                for pair in ((1, 2), (1, 3), (2, 3)):
+                    observed = phi_character_oracle(
+                        n, k, embed_cycle(pair, n), bound=math.factorial(6) ** 3
+                    )
+                    assert observed == phi_2cycle(n, k, pair), (n, k, pair)
+                observed = phi_character_oracle(
+                    n, k, embed_cycle((1, 2, 3), n), bound=math.factorial(6) ** 3
+                )
+                assert observed == phi_3cycle(n, k), (n, k)
+
+    def test_coset_inside_the_subgroup(self):
+        """A transposition inside block 1 lies in the subgroup, so its coset is
+        the subgroup itself and the average is the multiplicity."""
+        for n in small_triples(3):
+            if n.n1 < 2:
+                continue
+            g = Permutation.from_cycle([1, 2], n.N)
+            for k in range(n.N // 2 + 1):
+                assert phi_character_oracle(n, k, g) == multiplicity(n, k), (n, k)
+
+
+class TestClassCounting:
+    """The class-counted histogram against enumerating the coset."""
+
+    def test_embedded_cycles(self):
+        for n in small_triples(4):
+            for cycle in CYCLES:
+                g = embed_cycle(cycle, n).images
+                assert _coset_type_counts(n.sizes, g) == _enumerated_type_counts(n.sizes, g), (
+                    n,
+                    cycle,
+                )
+
+    def test_random_permutations(self):
+        """Cycles through one arbitrary point per block are counted; shuffles
+        mostly move two points of one block and take the enumeration."""
+        rng = random.Random(20251018)
+        for _ in range(100):
+            n = BlockTriple(*(rng.randint(1, 4) for _ in range(3)))
+            blocks = rng.sample((1, 2, 3), rng.randint(2, 3))
+            points = [rng.choice(n.interval(b)) for b in blocks]
+            shuffled = rng.sample(range(1, n.N + 1), n.N)
+            for g in (Permutation.from_cycle(points, n.N).images, tuple(shuffled)):
+                assert _coset_type_counts(n.sizes, g) == _enumerated_type_counts(n.sizes, g), (
+                    n,
+                    g,
+                )
+
+    def test_two_blocks(self):
+        for n1 in range(1, 8):
+            for n2 in range(1, 9 - n1):
+                g = Permutation.from_cycle([1, n1 + 1], n1 + n2).images
+                assert _two_factor_type_counts(n1, n2) == _enumerated_type_counts((n1, n2), g), (
+                    n1,
+                    n2,
+                )
+
 
 class TestTwoFactorOracle:
     def test_example(self):
@@ -96,6 +167,11 @@ class TestTwoFactorOracle:
     def test_bound_refusal(self):
         with pytest.raises(OracleBoundExceeded):
             two_factor_character_oracle(4, 3, 2, bound=100)
+
+    @pytest.mark.parametrize("n1,n2", [(0, 3), (3, 0)])
+    def test_rejects_empty_block(self, n1, n2):
+        with pytest.raises(ValueError, match=rf"\({n1}, {n2}\)"):
+            two_factor_character_oracle(n1, n2, 0, bound=0)
 
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
