@@ -88,20 +88,34 @@ def eigenvalue_sum(n: BlockTriple, d: DegreeTriple, k: int, p: int) -> Fraction:
     dim * sum over sizes l = 1..min(p+1, 3) of (-kappa)^(l-1) times the sum
     over l-subsets A of Phi(cycle through A) * h_{p+1-l}(shifted degrees of A)
     times the product of factorials of the block sizes in A.
+
+    With kappa = P/q in lowest terms the shifted degrees are a_i / q for
+    integers a_i, and h_{p+1-l} is homogeneous, so every term is an integer
+    over the common denominator q^p:
+    (-kappa)^(l-1) h_{p+1-l}(dt_A) = (-P)^(l-1) h_{p+1-l}(a_A) / q^p.
+    The terms are summed as integers over the Phi denominators and one
+    Fraction is built at the end.
     """
     if p < 1:
         raise ValueError(f"need p >= 1, got {p}")
-    sd = shifted_degrees(d, n)
-    total = Fraction(0)
+    P, q = d.kappa.numerator, d.kappa.denominator
+    scaled = (q * d.d1 + P * (n.n2 + n.n3), q * d.d2 + P * n.n3, q * d.d3)
+    factorials = [math.factorial(size) for size in n.sizes]
+    numerator, denominator = 0, 1
     for size in range(1, min(p + 1, 3) + 1):
-        weight = (-d.kappa) ** (size - 1)
+        weight = (-P) ** (size - 1)
         for A in itertools.combinations((1, 2, 3), size):
             phi = phi_closed_form(SphericalQuery(n, k, A))
             if phi == 0:
                 continue
-            factorials = math.prod(math.factorial(n.size(a)) for a in A)
-            total += weight * phi * h_subset(sd, A, p + 1 - size) * factorials
-    return dim_two_row(n.N, k) * total
+            h = complete_homogeneous([scaled[a - 1] for a in A], p + 1 - size)
+            term = weight * h * math.prod(factorials[a - 1] for a in A)
+            common = math.lcm(denominator, phi.denominator)
+            numerator = numerator * (common // denominator) + phi.numerator * term * (
+                common // phi.denominator
+            )
+            denominator = common
+    return Fraction(dim_two_row(n.N, k) * numerator, denominator * q**p)
 
 
 def _h_by_enumeration(values, degree: int) -> Fraction:

@@ -21,6 +21,7 @@ from .invariant_calculus import (
 )
 from .oracle import (
     DEFAULT_BOUND,
+    _check_space_bound,
     coeff_table_from_invariant,
     invariants_in_Vk,
     phi_character_oracle,
@@ -104,7 +105,14 @@ def _module_failure(n: BlockTriple, k: int, bound: int) -> Optional[str]:
 
 
 def verify_diffeq(max_block: int, bound: int) -> Iterator[Optional[str]]:
-    """The Hahn basis tables first, then the module oracle's invariants."""
+    """The Hahn basis tables first, then the module oracle's invariants.
+
+    A module query over the bound is refused before the tables are built, at
+    the same (n, k) and with the same error as the module half would raise.
+    """
+    for n in block_triples(max_block):
+        for k in _k_values(n):
+            _check_space_bound(n.N, k, bound)
     for n, k, m, table in _psi_tables(max_block):
         if not check_difference_equation(table):
             yield f"n={n.sizes} k={k} m={m}: basis table fails the difference equation"

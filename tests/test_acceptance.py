@@ -1,9 +1,10 @@
 """End-to-end acceptance sweep: every guarantee of the package, checked exactly.
 
 Each test covers one numbered criterion and prints a single PASS line when it
-holds; every comparison is exact rational equality. The whole file is meant to
-run in minutes, dominated by one large coset enumeration that is computed once
-and cached.
+holds; every comparison is exact rational equality. The character oracle
+counts coset cycle types by conjugacy class, so the whole file runs in
+seconds; its slowest parts are the module oracle's linear algebra and the
+Hahn tables.
 """
 import itertools
 import math

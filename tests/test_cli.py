@@ -200,6 +200,18 @@ class TestVerify:
         assert result.exit_code == 3, result.output
         assert "n = (1, 1, 2)" in result.stderr
 
+    @pytest.mark.parametrize("suite", ["diffeq", "all"])
+    def test_module_refusal_precedes_the_basis_tables(self, runner, suite):
+        # The diffeq suite refuses at n = (1, 1, 1), k = 1 without first
+        # checking the Hahn tables of every triple up to the block cap.
+        result = runner.invoke(
+            main,
+            ["verify", "--max-block", "40", "--suite", suite, "--oracle-bound", "1"],
+        )
+        assert result.exit_code == 3, result.output
+        assert result.stdout == ""
+        assert result.stderr == "error: monomial space size C(3,1) = 3 exceeds bound 1\n"
+
     def test_failing_suite_exits_one(self, runner, monkeypatch):
         def broken(max_block, bound):
             yield "injected mismatch"

@@ -2,6 +2,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sphfn.characters import m_range, multiplicity
 from sphfn.closed_form import (
@@ -27,6 +29,25 @@ def small_triples(max_block):
         BlockTriple(*sizes)
         for sizes in itertools.product(range(1, max_block + 1), repeat=3)
     ]
+
+
+@st.composite
+def triple_and_k(draw, max_block=300):
+    """A block triple with blocks up to max_block and an admissible k."""
+    n = BlockTriple(*draw(st.tuples(*[st.integers(1, max_block)] * 3)))
+    return n, draw(st.integers(0, n.N // 2))
+
+
+PAIRS = [(1, 2), (1, 3), (2, 3)]
+
+
+def diagonal_sum(n, k):
+    """The 3-cycle value as the diagonal entries summed term by term."""
+    m_lower, m_upper = m_range(n, k)
+    return sum(
+        (g3_diagonal_coeff(n, k, m) for m in range(m_lower, m_upper + 1)),
+        Fraction(0),
+    )
 
 
 def fixed_point_average(n, cycle):
@@ -97,6 +118,27 @@ class TestTwoCycle:
                     + Fraction(k * (k - 1), 3)
                 )
                 assert phi_2cycle(n, k, (1, 2)) == display, (n, k)
+
+    @given(triple_and_k(), st.sampled_from(PAIRS))
+    def test_sums_the_eigenvalues_at_real_sizes(self, query, pair):
+        n, k = query
+        a, b = pair
+        (c,) = {1, 2, 3} - {a, b}
+        na, nb, nc = n.size(a), n.size(b), n.size(c)
+        m_lower, m_upper = m_range(BlockTriple(na, nb, nc), k)
+        total = sum(
+            (g2_eigenvalue(m, na, nb) for m in range(m_lower, m_upper + 1)),
+            Fraction(0),
+        )
+        assert phi_2cycle(n, k, pair) == total
+
+    @given(triple_and_k(), st.sampled_from(PAIRS))
+    def test_invariant_under_swapping_the_pair_blocks(self, query, pair):
+        n, k = query
+        a, b = pair
+        sizes = list(n.sizes)
+        sizes[a - 1], sizes[b - 1] = sizes[b - 1], sizes[a - 1]
+        assert phi_2cycle(BlockTriple(*sizes), k, pair) == phi_2cycle(n, k, pair)
 
 
 class TestZetaXi:
@@ -172,12 +214,30 @@ class TestThreeCycle:
                 )
                 assert phi_3cycle(n, k) == total, (n, k)
 
+    def test_sums_the_diagonal_to_block_eight(self):
+        for n in small_triples(8):
+            for k in range(n.N // 2 + 1):
+                assert phi_3cycle(n, k) == diagonal_sum(n, k), (n, k)
+
+    @settings(deadline=None)
+    @given(triple_and_k())
+    def test_sums_the_diagonal_at_real_sizes(self, query):
+        n, k = query
+        assert phi_3cycle(n, k) == diagonal_sum(n, k)
+
     def test_symmetric_in_block_sizes(self):
         for n in small_triples(4):
             for k in range(n.N // 2 + 1):
                 value = phi_3cycle(n, k)
                 for perm in itertools.permutations(n.sizes):
                     assert phi_3cycle(BlockTriple(*perm), k) == value, (n, k, perm)
+
+    @given(triple_and_k())
+    def test_invariant_under_block_permutations_at_real_sizes(self, query):
+        n, k = query
+        value = phi_3cycle(n, k)
+        for perm in itertools.permutations(n.sizes):
+            assert phi_3cycle(BlockTriple(*perm), k) == value, perm
 
 
 class TestSpecialValues:

@@ -3,6 +3,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sphfn.characters import dim_two_row, multiplicity
 from sphfn.core import BlockTriple
@@ -140,6 +142,18 @@ class TestEigenvalueSum:
                             assert eigenvalue_sum(n, d, k, p) == (
                                 eigenvalue_sum_recheck(n, d, k, p)
                             ), (n, k, kappa, degrees, p)
+
+    @given(st.data())
+    def test_two_paths_agree_at_real_sizes(self, data):
+        """Blocks up to 300 and kappa with denominators up to 6, so that the
+        common denominator q^p of the integer kernel is often above 1."""
+        n = BlockTriple(*data.draw(st.tuples(*[st.integers(1, 300)] * 3)))
+        k = data.draw(st.integers(0, n.N // 2))
+        degrees = sorted(data.draw(st.sets(st.integers(0, 60), min_size=3, max_size=3)))
+        kappa = data.draw(st.fractions(-20, 20, max_denominator=6))
+        p = data.draw(st.integers(1, 6))
+        d = DegreeTriple(*reversed(degrees), kappa)
+        assert eigenvalue_sum(n, d, k, p) == eigenvalue_sum_recheck(n, d, k, p)
 
     @pytest.mark.parametrize("sizes,k,p", [((1, 1, 1), 1, 1), ((2, 1, 2), 2, 2), ((1, 2, 2), 1, 3)])
     def test_polynomial_in_kappa(self, sizes, k, p):
