@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .characters import dim_two_row, multiplicity
-from .closed_form import SphericalQuery, phi_closed_form
+from .closed_form import SphericalQuery, phi_2cycle, phi_3cycle, phi_closed_form, phi_identity
 from .core import BlockTriple, complete_homogeneous
 
 __all__ = [
@@ -94,10 +94,14 @@ def eigenvalue_sum(n: BlockTriple, d: DegreeTriple, k: int, p: int) -> Fraction:
     over the common denominator q^p:
     (-kappa)^(l-1) h_{p+1-l}(dt_A) = (-P)^(l-1) h_{p+1-l}(a_A) / q^p.
     The terms are summed as integers over the Phi denominators and one
-    Fraction is built at the end.
+    Fraction is built at the end. Each Phi comes straight from phi_identity,
+    phi_2cycle or phi_3cycle; eigenvalue_sum_recheck takes the other route,
+    through SphericalQuery and phi_closed_form.
     """
     if p < 1:
         raise ValueError(f"need p >= 1, got {p}")
+    if k < 0 or 2 * k > n.N:
+        raise ValueError(f"need 0 <= 2k <= N, got k = {k}, N = {n.N}")
     P, q = d.kappa.numerator, d.kappa.denominator
     scaled = (q * d.d1 + P * (n.n2 + n.n3), q * d.d2 + P * n.n3, q * d.d3)
     factorials = [math.factorial(size) for size in n.sizes]
@@ -105,7 +109,12 @@ def eigenvalue_sum(n: BlockTriple, d: DegreeTriple, k: int, p: int) -> Fraction:
     for size in range(1, min(p + 1, 3) + 1):
         weight = (-P) ** (size - 1)
         for A in itertools.combinations((1, 2, 3), size):
-            phi = phi_closed_form(SphericalQuery(n, k, A))
+            if size == 1:
+                phi = phi_identity(n, k)
+            elif size == 2:
+                phi = phi_2cycle(n, k, A)
+            else:
+                phi = phi_3cycle(n, k)
             if phi == 0:
                 continue
             h = complete_homogeneous([scaled[a - 1] for a in A], p + 1 - size)

@@ -1,10 +1,17 @@
 """Exact linear algebra over the rationals.
 
-Small dense systems only; everything here is plain Gaussian elimination on
-lists of Fraction rows, which is all the invariant computations need.
+Small dense systems only, which is all the invariant computations need. The
+elimination is fraction-free Gauss-Jordan (after Bareiss, Math. Comp. 22,
+1968, but keeping entries small by the gcd of each row rather than by exact
+division by the previous pivot): each row is scaled to integers once, a row
+is cleared by p * row - q * pivot_row and divided by the gcd of its entries,
+and the pivot rows are divided by their pivots only at the end. The reduced
+row echelon form is unique, so the Fractions returned are exactly those of
+plain Gauss-Jordan elimination over Fraction.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -13,15 +20,24 @@ Matrix = list[list[Fraction]]
 __all__ = ["row_echelon", "nullspace", "solve", "rank"]
 
 
-def _copy(matrix: Sequence[Sequence]) -> Matrix:
-    return [[Fraction(x) for x in row] for row in matrix]
+def _integer_row(row: Sequence) -> list[int]:
+    """The row scaled to coprime integers by a positive factor."""
+    values = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
+    scale = math.lcm(*(x.denominator for x in values))
+    return _primitive([x.numerator * (scale // x.denominator) for x in values])
+
+
+def _primitive(row: list[int]) -> list[int]:
+    """The row divided by the gcd of its entries."""
+    g = math.gcd(*row)
+    return row if g <= 1 else [x // g for x in row]
 
 
 def row_echelon(matrix: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and the list of pivot column indices."""
-    m = _copy(matrix)
+    m = [_integer_row(row) for row in matrix]
     if not m:
-        return m, []
+        return [], []
     ncols = len(m[0])
     pivots: list[int] = []
     r = 0
@@ -30,17 +46,19 @@ def row_echelon(matrix: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
+        pivot = m[r]
         for i in range(len(m)):
             if i != r and m[i][c] != 0:
-                factor = m[i][c]
-                m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
+                g = math.gcd(pivot[c], m[i][c])
+                p, q = pivot[c] // g, m[i][c] // g
+                m[i] = _primitive([p * x - q * y for x, y in zip(m[i], pivot)])
         pivots.append(c)
         r += 1
         if r == len(m):
             break
-    return m, pivots
+    echelon = [[Fraction(x, m[i][c]) for x in m[i]] for i, c in enumerate(pivots)]
+    echelon += [[Fraction(0)] * ncols for _ in range(len(m) - len(pivots))]
+    return echelon, pivots
 
 
 def rank(matrix: Sequence[Sequence]) -> int:

@@ -184,8 +184,13 @@ class VkVector:
     """A divergence-free vector in the span of squarefree degree-k monomials.
 
     Coordinates are indexed by sorted k-tuples; absent subsets read as zero.
-    The defining condition, that dropping one point from each subset sums to
-    zero over every (k-1)-subset, is enforced at construction.
+    The constructor rejects any key that is not a k-subset of [1, N], and two
+    keys naming the same subset. It then enforces the defining condition,
+    that dropping one point from each subset sums to zero over every
+    (k-1)-subset; the sums run in integers, on the coordinates scaled by the
+    lcm of their denominators. Every vector this module hands out passes
+    through here; phi_module_oracle builds no vector and makes the same
+    divergence check itself, on every vector it uses.
     """
 
     __slots__ = ("_N", "_k", "_coords")
@@ -193,12 +198,17 @@ class VkVector:
     def __init__(self, N: int, k: int, coords: Mapping[tuple[int, ...], object]):
         self._N = N
         self._k = k
+        given: set[tuple[int, ...]] = set()
         cleaned: dict[tuple[int, ...], Fraction] = {}
         for subset, value in coords.items():
             key = tuple(sorted(subset))
-            if len(key) != k or len(set(key)) != k or not all(1 <= i <= N for i in key):
+            if len(key) != k or len(set(key)) != k or key and not 1 <= key[0] <= key[-1] <= N:
                 raise ValueError(f"not a k-subset of [1, {N}]: {subset}")
-            value = Fraction(value)
+            if key in given:
+                raise ValueError(f"subset {key} given twice")
+            given.add(key)
+            if not isinstance(value, Fraction):
+                value = Fraction(value)
             if value != 0:
                 cleaned[key] = value
         self._coords = cleaned
@@ -206,12 +216,13 @@ class VkVector:
             raise ValueError("coordinates violate the divergence condition")
 
     def _divergence_free(self) -> bool:
-        sums: dict[tuple[int, ...], Fraction] = {}
-        for subset, value in self._coords.items():
-            for i in subset:
-                smaller = tuple(j for j in subset if j != i)
-                sums[smaller] = sums.get(smaller, Fraction(0)) + value
-        return all(total == 0 for total in sums.values())
+        values, _ = _over_common_denominator(self._coords.values())
+        sums: dict[tuple[int, ...], int] = {}
+        for subset, x in zip(self._coords, values):
+            for i in range(len(subset)):
+                smaller = subset[:i] + subset[i + 1:]
+                sums[smaller] = sums.get(smaller, 0) + x
+        return not any(sums.values())
 
     @property
     def N(self) -> int:
@@ -250,6 +261,13 @@ class VkVector:
         return f"VkVector(N={self._N}, k={self._k}, {len(self._coords)} nonzero)"
 
 
+def _over_common_denominator(values: Iterable[Fraction]) -> tuple[list[int], int]:
+    """Integers x_i and a positive d with values_i = x_i / d."""
+    values = list(values)
+    scale = math.lcm(*(x.denominator for x in values))
+    return [x.numerator * (scale // x.denominator) for x in values], scale
+
+
 def _subsets(N: int, k: int) -> list[tuple[int, ...]]:
     return list(itertools.combinations(range(1, N + 1), k))
 
@@ -277,10 +295,10 @@ def build_Vk_basis(N: int, k: int, bound: int = DEFAULT_BOUND) -> list[VkVector]
     column_index = {subset: j for j, subset in enumerate(columns)}
     rows = []
     for smaller in _subsets(N, k - 1):
-        row = [Fraction(0)] * len(columns)
+        row = [0] * len(columns)
         for j in range(1, N + 1):
             if j not in smaller:
-                row[column_index[tuple(sorted(smaller + (j,)))]] = Fraction(1)
+                row[column_index[tuple(sorted(smaller + (j,)))]] = 1
         rows.append(row)
     kernel = linalg.nullspace(rows, ncols=len(columns))
     return [
@@ -289,17 +307,33 @@ def build_Vk_basis(N: int, k: int, bound: int = DEFAULT_BOUND) -> list[VkVector]
     ]
 
 
-def _orbit_label(subset: tuple[int, ...], n: BlockTriple) -> tuple[int, int]:
-    u = sum(1 for i in subset if i <= n.n1)
-    v = sum(1 for i in subset if n.n1 < i <= n.n1 + n.n2)
-    return u, v
+def _point_blocks(n: BlockTriple) -> list[int]:
+    """The block (1, 2 or 3) of each point 1..N, at index point - 1."""
+    return [1] * n.n1 + [2] * n.n2 + [3] * n.n3
+
+
+def _labelled_subsets(n: BlockTriple, k: int) -> list[tuple[tuple[int, ...], tuple[int, int]]]:
+    """Every k-subset of [1, N] in lexicographic order, with its orbit label.
+
+    The label (u, v) counts the subset's points in blocks 1 and 2. The block
+    tuples come from the same combinations of the points' blocks, so they
+    line up with the subsets.
+    """
+    return [
+        (subset, (blocks.count(1), blocks.count(2)))
+        for subset, blocks in zip(
+            itertools.combinations(range(1, n.N + 1), k),
+            itertools.combinations(_point_blocks(n), k),
+        )
+    ]
 
 
 def _invariant_tables(n: BlockTriple, k: int) -> list[CoeffTable]:
     """Orbit-constant solutions of the raw divergence system.
 
     Invariance under the block subgroup forces one unknown per orbit label;
-    every (k-1)-subset then contributes one equation on those unknowns. All
+    every (k-1)-subset then contributes one equation on those unknowns, with
+    a 1 for each point j outside it, at the label of the subset plus j. All
     equations are imposed verbatim, without collapsing them into the label
     recurrence, so this stays independent of the difference-equation code.
     """
@@ -307,14 +341,14 @@ def _invariant_tables(n: BlockTriple, k: int) -> list[CoeffTable]:
         return [CoeffTable(n, 0, {(0, 0): Fraction(1)})]
     labels = admissible_grid(n, k)
     label_index = {uv: j for j, uv in enumerate(labels)}
-    seen: set[tuple[Fraction, ...]] = set()
+    point_blocks = _point_blocks(n)
+    seen: set[tuple[int, ...]] = set()
     rows = []
-    for smaller in _subsets(n.N, k - 1):
-        row = [Fraction(0)] * len(labels)
-        for j in range(1, n.N + 1):
+    for smaller, (u, v) in _labelled_subsets(n, k - 1):
+        row = [0] * len(labels)
+        for j, block in enumerate(point_blocks, 1):
             if j not in smaller:
-                uv = _orbit_label(tuple(sorted(smaller + (j,))), n)
-                row[label_index[uv]] += 1
+                row[label_index[u + (block == 1), v + (block == 2)]] += 1
         key = tuple(row)
         if key not in seen:  # repeated subsets give literally equal equations
             seen.add(key)
@@ -326,13 +360,6 @@ def _invariant_tables(n: BlockTriple, k: int) -> list[CoeffTable]:
     ]
 
 
-def _table_to_vector(table: CoeffTable) -> VkVector:
-    n, k = table.n, table.k
-    return VkVector(
-        n.N, k, {subset: table.get(*_orbit_label(subset, n)) for subset in _subsets(n.N, k)}
-    )
-
-
 def invariants_in_Vk(n: BlockTriple, k: int, bound: int = DEFAULT_BOUND) -> list[VkVector]:
     """Basis of the subgroup-invariant divergence-free vectors.
 
@@ -342,36 +369,41 @@ def invariants_in_Vk(n: BlockTriple, k: int, bound: int = DEFAULT_BOUND) -> list
     if k < 0 or 2 * k > n.N:
         raise ValueError(f"need 0 <= 2k <= N, got k = {k}, N = {n.N}")
     _check_space_bound(n.N, k, bound)
-    return [_table_to_vector(table) for table in _invariant_tables(n, k)]
+    labelled = _labelled_subsets(n, k)
+    vectors = []
+    for table in _invariant_tables(n, k):
+        entries = dict(table.items())
+        vectors.append(VkVector(n.N, k, {subset: entries[uv] for subset, uv in labelled}))
+    return vectors
+
+
+def _check_points(vec: VkVector, n: BlockTriple) -> None:
+    if vec.N != n.N:
+        raise ValueError(f"vector lives on {vec.N} points, blocks cover {n.N}")
 
 
 def coeff_table_from_invariant(vec: VkVector, n: BlockTriple) -> CoeffTable:
     """Read the orbit constants off an invariant vector; reject non-constant ones."""
+    _check_points(vec, n)
     entries: dict[tuple[int, int], Fraction] = {}
-    for subset in _subsets(n.N, vec.k):
-        uv = _orbit_label(subset, n)
+    for subset, uv in _labelled_subsets(n, vec.k):
         value = vec.coord(subset)
-        if uv in entries and entries[uv] != value:
+        if entries.setdefault(uv, value) != value:
             raise ValueError(f"vector is not constant on the orbit {uv}")
-        entries[uv] = value
     return CoeffTable(n, vec.k, entries)
 
 
 def project_to_invariant(vec: VkVector, n: BlockTriple) -> VkVector:
     """Average the vector over each subset orbit of the block subgroup."""
-    if vec.N != n.N:
-        raise ValueError(f"vector lives on {vec.N} points, blocks cover {n.N}")
+    _check_points(vec, n)
+    labelled = _labelled_subsets(n, vec.k)
     sums: dict[tuple[int, int], Fraction] = {}
-    sizes: dict[tuple[int, int], int] = {}
-    subsets = _subsets(n.N, vec.k)
-    for subset in subsets:
-        uv = _orbit_label(subset, n)
+    sizes: Counter = Counter()
+    for subset, uv in labelled:
         sums[uv] = sums.get(uv, Fraction(0)) + vec.coord(subset)
-        sizes[uv] = sizes.get(uv, 0) + 1
+        sizes[uv] += 1
     means = {uv: sums[uv] / sizes[uv] for uv in sums}
-    return VkVector(
-        vec.N, vec.k, {subset: means[_orbit_label(subset, n)] for subset in subsets}
-    )
+    return VkVector(vec.N, vec.k, {subset: means[uv] for subset, uv in labelled})
 
 
 def phi_module_oracle(
@@ -381,6 +413,22 @@ def phi_module_oracle(
 
     Equals the coset character average because projecting onto subgroup
     invariants and averaging the character are the same operator trace.
+
+    A basis table T is the vector x_E = T(label of E). Translating it by g
+    and averaging over each orbit O_b gives the table
+    P(b) = sum over a of C[b][a] T(a) / |O_b|, where C[b][a] counts the
+    subsets E with label a whose image g(E) has label b. One pass over the
+    C(N, k) subsets counts C, the orbit sizes, and for every (k-1)-subset S
+    the labels of the subsets that contain S; the divergence of an
+    orbit-constant vector at S is the sum of its values over those labels.
+
+    No vector is built, so the checks VkVector would make run here, in
+    integers: each basis table and each projected table must be divergence
+    free at every (k-1)-subset, or ValueError is raised. The translated
+    vector is not checked on its own: the divergence commutes with
+    permutations, so it is divergence free exactly when the basis vector is.
+    The projected table is constant on orbits by construction, and solve
+    raises if it leaves the span of the basis.
     """
     if g.N != n.N:
         raise ValueError(f"permutation acts on {g.N} points, blocks cover {n.N}")
@@ -391,12 +439,34 @@ def phi_module_oracle(
     if not basis_tables:
         return Fraction(0)
     labels = admissible_grid(n, k)
+    label_index = {uv: a for a, uv in enumerate(labels)}
+    point_blocks = _point_blocks(n)
+    image_blocks = [point_blocks[g(i) - 1] for i in range(1, n.N + 1)]
+    counts = [[0] * len(labels) for _ in labels]
+    sizes = [0] * len(labels)
+    faces: dict[tuple[int, ...], list[int]] = {}
+    for subset, uv in _labelled_subsets(n, k):
+        a = label_index[uv]
+        sizes[a] += 1
+        moved = [image_blocks[i - 1] for i in subset]
+        counts[label_index[moved.count(1), moved.count(2)]][a] += 1
+        for i in range(k):
+            faces.setdefault(subset[:i] + subset[i + 1:], [0] * len(labels))[a] += 1
+    divergence = {tuple(row) for row in faces.values()}
+
+    def check(values: list[int], what: str) -> None:
+        if any(sum(d * x for d, x in zip(row, values)) for row in divergence):
+            raise ValueError(f"{what} violates the divergence condition")
+
+    common_size = math.lcm(*sizes)
     matrix = [[table.get(u, v) for table in basis_tables] for u, v in labels]
     trace = Fraction(0)
     for i, table in enumerate(basis_tables):
-        moved = _table_to_vector(table).apply(g)
-        projected = coeff_table_from_invariant(project_to_invariant(moved, n), n)
-        rhs = [projected.get(u, v) for u, v in labels]
+        values, scale = _over_common_denominator(table.get(u, v) for u, v in labels)
+        check(values, f"invariant vector {i}")
+        image = [sum(c * x for c, x in zip(row, values)) for row in counts]
+        check([y * (common_size // size) for y, size in zip(image, sizes)], f"projected image {i}")
+        rhs = [Fraction(y, scale * size) for y, size in zip(image, sizes)]
         coords = linalg.solve(matrix, rhs)
         trace += coords[i]
     return trace

@@ -19,6 +19,61 @@ def matrix_strategy(max_rows=4, max_cols=4):
     )
 
 
+def gauss_jordan_reference(matrix):
+    """Plain Gauss-Jordan elimination over Fraction, the former row_echelon."""
+    m = [[Fraction(x) for x in row] for row in matrix]
+    if not m:
+        return m, []
+    ncols = len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                factor = m[i][c]
+                m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m, pivots
+
+
+mixed_entries = st.one_of(
+    st.integers(min_value=-12, max_value=12),
+    st.fractions(min_value=-12, max_value=12, max_denominator=9),
+)
+
+
+@st.composite
+def rational_matrices(draw):
+    """Random rational matrices with int and Fraction entries, zero rows and repeats."""
+    ncols = draw(st.integers(min_value=1, max_value=6))
+    row = st.lists(mixed_entries, min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, min_size=1, max_size=6))
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        position = draw(st.integers(min_value=0, max_value=len(rows)))
+        copied = draw(st.sampled_from(rows + [[0] * ncols]))
+        scale = draw(st.sampled_from([1, -1, 2, Fraction(-3, 4)]))
+        rows.insert(position, [scale * x for x in copied])
+    return rows
+
+
+@given(rational_matrices())
+def test_row_echelon_matches_fraction_gauss_jordan(m):
+    echelon, pivots = linalg.row_echelon(m)
+    expected, expected_pivots = gauss_jordan_reference(m)
+    assert pivots == expected_pivots
+    assert echelon == expected
+    assert all(type(x) is Fraction for row in echelon for x in row)
+
+
 def test_row_echelon_known():
     echelon, pivots = linalg.row_echelon(
         [[Fraction(2), Fraction(4)], [Fraction(1), Fraction(2)]]

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from sphfn import linalg
+from sphfn import linalg, oracle
 from sphfn.characters import mn_character, multiplicity, two_row
 from sphfn.closed_form import (
     SphericalQuery,
@@ -22,6 +22,7 @@ from sphfn.core import (
     embed_cycle,
     young_subgroup_elements,
 )
+from sphfn.hahn import CoeffTable
 from sphfn.invariant_calculus import check_difference_equation
 from sphfn.oracle import (
     OracleBoundExceeded,
@@ -200,6 +201,11 @@ class TestVkVector:
         with pytest.raises(ValueError):
             VkVector(4, 1, coords)
 
+    def test_rejects_repeated_subset(self):
+        coords = {(1, 3): 1, (1, 4): -1, (2, 3): -1, (2, 4): 1, (3, 1): 0}
+        with pytest.raises(ValueError, match=r"\(1, 3\)"):
+            VkVector(4, 2, coords)
+
     def test_rejects_divergence_violation(self):
         with pytest.raises(ValueError):
             VkVector(3, 1, {(1,): 1})
@@ -289,6 +295,11 @@ class TestInvariants:
         with pytest.raises(ValueError):
             coeff_table_from_invariant(vec, n)
 
+    def test_table_rejects_wrong_size(self):
+        vec = VkVector(6, 1, {(1,): 1, (2,): -1})
+        with pytest.raises(ValueError, match="vector lives on 6 points, blocks cover 4"):
+            coeff_table_from_invariant(vec, BlockTriple(1, 1, 2))
+
     def test_projection_kills_mean_zero_orbits(self):
         n = BlockTriple(2, 2, 2)
         vec = VkVector(6, 1, {(1,): 1, (2,): -1})
@@ -335,6 +346,31 @@ class TestModuleOracle:
                         k,
                         cycle,
                     )
+
+    def test_matches_closed_forms_to_block_four(self):
+        compared = 0
+        for n in small_triples(4):
+            for k in range(n.N // 2 + 1):
+                for cycle in CYCLES:
+                    expected = phi_closed_form(SphericalQuery(n, k, cycle))
+                    assert phi_module_oracle(n, k, embed_cycle(cycle, n)) == expected, (
+                        n,
+                        k,
+                        cycle,
+                    )
+                    compared += 1
+        assert compared == 1440
+
+    def test_rejects_tables_that_violate_divergence(self, monkeypatch):
+        """Neither the oracle nor the invariants trust the kernel they are given."""
+        n = BlockTriple(2, 1, 1)
+        monkeypatch.setattr(
+            oracle, "_invariant_tables", lambda n, k: [CoeffTable(n, k, {(1, 0): 1})]
+        )
+        with pytest.raises(ValueError, match="invariant vector 0 violates the divergence"):
+            phi_module_oracle(n, 1, embed_cycle((1, 2, 3), n))
+        with pytest.raises(ValueError, match="coordinates violate the divergence"):
+            invariants_in_Vk(n, 1)
 
     def test_bound_refusal(self):
         n = BlockTriple(7, 7, 6)
