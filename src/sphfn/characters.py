@@ -10,7 +10,7 @@ import functools
 import math
 from collections import Counter
 
-from .core import BlockTriple, Partition, binom
+from .core import BlockTriple, Partition, binom, check_k
 
 __all__ = [
     "mn_character",
@@ -64,15 +64,13 @@ def mn_character(lam: Partition, mu: Partition) -> int:
 
 def two_row(N: int, k: int) -> Partition:
     """The two-row shape [N - k, k]; k = 0 degenerates to the single row [N]."""
-    if k < 0 or 2 * k > N:
-        raise ValueError(f"need 0 <= 2k <= N, got N = {N}, k = {k}")
+    check_k(N, k)
     return Partition((N - k, k) if k > 0 else (N,))
 
 
 def dim_two_row(N: int, k: int) -> int:
     """Dimension of the irreducible module of shape [N - k, k]."""
-    if k < 0 or 2 * k > N:
-        raise ValueError(f"need 0 <= 2k <= N, got N = {N}, k = {k}")
+    check_k(N, k)
     return binom(N, k) - binom(N, k - 1)
 
 
@@ -91,8 +89,7 @@ def m_range(n: BlockTriple, k: int) -> tuple[int, int]:
     permutation module on cosets of the three-block subgroup; the range is
     empty when m_L > m_U.
     """
-    if k < 0 or 2 * k > n.N:
-        raise ValueError(f"need 0 <= 2k <= N, got n = {n.sizes}, k = {k}")
+    check_k(n.N, k)
     m_lower = max(0, k - n.n3)
     m_upper = min(n.n1, n.n2, k, n.n1 + n.n2 - k)
     return m_lower, m_upper

@@ -26,11 +26,27 @@ from .oracle import (
 )
 from .verify import SUITES, run_suites
 
-METHOD_NAMES = {
-    "closed": "closed_form",
-    "oracle": "character_oracle",
-    "module": "module_oracle",
+# --method choice -> (record name, evaluation of a query under an oracle bound)
+METHODS = {
+    "closed": ("closed_form", lambda q, bound: phi_closed_form(q)),
+    "oracle": (
+        "character_oracle",
+        lambda q, bound: phi_character_oracle(q.n, q.k, embed_cycle(q.cycle, q.n), bound),
+    ),
+    "module": (
+        "module_oracle",
+        lambda q, bound: phi_module_oracle(q.n, q.k, embed_cycle(q.cycle, q.n), bound),
+    ),
 }
+
+ORACLE_BOUND = click.option(
+    "--oracle-bound",
+    type=int,
+    default=DEFAULT_BOUND,
+    show_default=True,
+    help="Cap on brute-force size: the subgroup order n1! n2! n3! for the "
+    "character oracle, C(N, k) for the module oracle. Past it, exit 3.",
+)
 
 
 def render(value: Fraction) -> str:
@@ -98,19 +114,12 @@ def main():
 @click.option("--cycle", "cycle_text", required=True, help="Blocks the cycle runs through, e.g. 1,2,3.")
 @click.option(
     "--method",
-    type=click.Choice(["closed", "oracle", "module", "all"]),
+    type=click.Choice([*METHODS, "all"]),
     default="closed",
     show_default=True,
 )
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json", show_default=True)
-@click.option(
-    "--oracle-bound",
-    type=int,
-    default=DEFAULT_BOUND,
-    show_default=True,
-    help="Cap on brute-force size: the subgroup order n1! n2! n3! for the "
-    "character oracle, C(N, k) for the module oracle. Past it, exit 3.",
-)
+@ORACLE_BOUND
 def compute(n_text: str, k: int, cycle_text: str, method: str, fmt: str, oracle_bound: int):
     """Evaluate one averaged character value."""
     n = _parse_blocks(n_text)
@@ -119,54 +128,29 @@ def compute(n_text: str, k: int, cycle_text: str, method: str, fmt: str, oracle_
         query = SphericalQuery(n, k, cycle)
     except ValueError as exc:
         _fail(str(exc), 2)
-
-    def by_oracle() -> Fraction:
-        return phi_character_oracle(n, k, embed_cycle(cycle, n), oracle_bound)
-
-    def by_module() -> Fraction:
-        return phi_module_oracle(n, k, embed_cycle(cycle, n), oracle_bound)
-
+    # "all" reports the closed form, and agreement with every oracle that runs.
+    names = list(METHODS) if method == "all" else [method]
+    values = []
+    for name in names:
+        try:
+            values.append(METHODS[name][1](query, oracle_bound))
+        except OracleBoundExceeded as exc:
+            if method != "all":
+                _fail(str(exc), 3)
+        except AssertionError as exc:
+            _fail(str(exc), 1)
     record = {
         "n": list(n.sizes),
         "k": k,
         "cycle": list(cycle),
+        "method": METHODS[names[0]][0],
+        "value": render(values[0]),
         "multiplicity": multiplicity(n, k),
     }
-    disagreement = False
-    try:
-        if method == "all":
-            values = {"closed_form": phi_closed_form(query)}
-            for name, fn in (("character_oracle", by_oracle), ("module_oracle", by_module)):
-                try:
-                    values[name] = fn()
-                except OracleBoundExceeded:
-                    pass
-            record["method"] = "closed_form"
-            record["value"] = render(values["closed_form"])
-            if len(values) >= 2:
-                agreement = len(set(values.values())) == 1
-                record["agreement"] = agreement
-                disagreement = not agreement
-        else:
-            name = METHOD_NAMES[method]
-            value = {
-                "closed": lambda: phi_closed_form(query),
-                "oracle": by_oracle,
-                "module": by_module,
-            }[method]()
-            record["method"] = name
-            record["value"] = render(value)
-    except OracleBoundExceeded as exc:
-        _fail(str(exc), 3)
-    except AssertionError as exc:
-        _fail(str(exc), 1)
-    record = {
-        key: record[key]
-        for key in ("n", "k", "cycle", "method", "value", "multiplicity", "agreement")
-        if key in record
-    }
+    if len(values) >= 2:
+        record["agreement"] = len(set(values)) == 1
     _emit_record(record, fmt)
-    if disagreement:
+    if not record.get("agreement", True):
         sys.exit(1)
 
 
@@ -178,14 +162,7 @@ def compute(n_text: str, k: int, cycle_text: str, method: str, fmt: str, oracle_
     default="all",
     show_default=True,
 )
-@click.option(
-    "--oracle-bound",
-    type=int,
-    default=DEFAULT_BOUND,
-    show_default=True,
-    help="Cap on brute-force size: the subgroup order n1! n2! n3! for the "
-    "character oracle, C(N, k) for the module oracle. Past it, exit 3.",
-)
+@ORACLE_BOUND
 def verify(max_block: int, suite: str, oracle_bound: int):
     """Run exhaustive exact sweeps of the closed forms against the oracles.
 

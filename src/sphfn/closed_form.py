@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .characters import m_range, multiplicity
-from .core import BlockTriple
+from .core import BlockTriple, check_k, check_sizes, cycle_blocks, pair_blocks
 
 __all__ = [
     "SphericalQuery",
@@ -45,26 +45,14 @@ class SphericalQuery:
     cycle: tuple[int, ...]
 
     def __post_init__(self):
-        if self.k < 0 or 2 * self.k > self.n.N:
-            raise ValueError(f"need 0 <= 2k <= N, got k = {self.k}, N = {self.n.N}")
-        blocks = tuple(sorted(set(self.cycle)))
-        if blocks != self.cycle or not blocks:
+        check_k(self.n.N, self.k)
+        if cycle_blocks(self.cycle) != self.cycle:
             raise ValueError(f"cycle must be sorted distinct blocks, got {self.cycle}")
-        if any(b not in (1, 2, 3) for b in blocks):
-            raise ValueError(f"cycle blocks must be within {{1, 2, 3}}, got {self.cycle}")
 
 
 def phi_identity(n: BlockTriple, k: int) -> Fraction:
     """Phi at the identity: the number of invariant vectors in the module."""
     return Fraction(multiplicity(n, k))
-
-
-def _pair_parameters(n: BlockTriple, pair: tuple[int, int]) -> tuple[int, int, int]:
-    a, b = sorted(pair)
-    if (a, b) not in {(1, 2), (1, 3), (2, 3)}:
-        raise ValueError(f"pair must be two distinct blocks, got {pair}")
-    (c,) = {1, 2, 3} - {a, b}
-    return n.size(a), n.size(b), n.size(c)
 
 
 def phi_2cycle(n: BlockTriple, k: int, pair: tuple[int, int] = (1, 2)) -> Fraction:
@@ -75,9 +63,9 @@ def phi_2cycle(n: BlockTriple, k: int, pair: tuple[int, int] = (1, 2)) -> Fracti
     cubic-free polynomial below, kept over the integers as 6 times its
     bracket so that one Fraction is built. Empty range gives 0.
     """
-    if k < 0 or 2 * k > n.N:
-        raise ValueError(f"need 0 <= 2k <= N, got k = {k}, N = {n.N}")
-    na, nb, nc = _pair_parameters(n, pair)
+    check_k(n.N, k)
+    a, b, c = pair_blocks(pair)
+    na, nb, nc = n.size(a), n.size(b), n.size(c)
     m_lower = max(0, k - nc)
     m_upper = min(na, nb, k, na + nb - k)
     if m_lower > m_upper:
@@ -170,8 +158,6 @@ def phi_3cycle(n: BlockTriple, k: int) -> Fraction:
     every call against a second, differently grouped expression of the same
     sum, which is most of the cost of a call.
     """
-    if k < 0 or 2 * k > n.N:
-        raise ValueError(f"need 0 <= 2k <= N, got k = {k}, N = {n.N}")
     n1, n2, n3 = n.sizes
     N = n.N
     m_lower, m_upper = m_range(n, k)
@@ -208,8 +194,6 @@ def phi_special(n: BlockTriple, k: int, cycle: tuple[int, ...] = (1, 2, 3)) -> O
     """
     n1, n2, n3 = n.sizes
     N = n.N
-    if k < 0 or 2 * k > N:
-        raise ValueError(f"need 0 <= 2k <= N, got k = {k}, N = {N}")
     m_lower, m_upper = m_range(n, k)
     if cycle == (1, 2, 3):
         if k == n1 + n3:
@@ -255,8 +239,7 @@ def phi_2cycle_two_factor(n1: int, n2: int, k: int) -> Fraction:
     single quadratic. Kept separate from the three-block machinery; the core
     grids and operators stay three-block throughout.
     """
-    if n1 < 1 or n2 < 1:
-        raise ValueError(f"block sizes must be >= 1, got ({n1}, {n2})")
+    check_sizes((n1, n2))
     if not 0 <= k <= min(n1, n2):
         raise ValueError(f"need 0 <= k <= min(n1, n2), got k = {k}, n = ({n1}, {n2})")
     return Fraction(n1 * n2 - (n1 + n2) * k + k * (k - 1), n1 * n2)

@@ -2,6 +2,12 @@
 
 Every scalar in this package is a :class:`fractions.Fraction` (or a plain int
 where the value is known to be integral); no floating point appears anywhere.
+
+This module also owns the input rules every value is indexed by: block sizes
+n_j >= 1 (check_sizes), a two-row shape [N - k, k] with 0 <= 2k <= N
+(check_k), a pair of distinct blocks (pair_blocks) and a cycle through a
+nonempty set of blocks (cycle_blocks). Other modules call these rather than
+restate a rule; only the CLI words the cycle rule again, to quote its input.
 """
 from __future__ import annotations
 
@@ -13,6 +19,7 @@ from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "Fraction",
+    "ZERO",
     "Partition",
     "BlockTriple",
     "Permutation",
@@ -24,7 +31,43 @@ __all__ = [
     "young_subgroup_elements",
     "embed_cycle",
     "partitions",
+    "check_k",
+    "check_sizes",
+    "pair_blocks",
+    "cycle_blocks",
 ]
+
+# The shared zero for lookups that default to it; a Fraction is immutable.
+ZERO = Fraction(0)
+
+
+def check_k(N: int, k: int) -> None:
+    """Reject a shape parameter outside 0 <= 2k <= N."""
+    if k < 0 or 2 * k > N:
+        raise ValueError(f"need 0 <= 2k <= N, got k = {k}, N = {N}")
+
+
+def check_sizes(sizes: tuple[int, ...]) -> None:
+    """Reject block sizes below 1."""
+    if min(sizes) < 1:
+        raise ValueError(f"block sizes must be >= 1, got {sizes}")
+
+
+def pair_blocks(pair: Iterable[int]) -> tuple[int, int, int]:
+    """The two blocks of a pair in ascending order, then the third block."""
+    blocks = tuple(sorted(pair))
+    if blocks not in {(1, 2), (1, 3), (2, 3)}:
+        raise ValueError(f"pair must be two distinct blocks, got {pair}")
+    a, b = blocks
+    return a, b, 6 - a - b
+
+
+def cycle_blocks(A: Iterable[int]) -> tuple[int, ...]:
+    """The blocks a cycle runs through, sorted; a nonempty subset of {1, 2, 3}."""
+    blocks = tuple(sorted(set(A)))
+    if not blocks or not all(b in (1, 2, 3) for b in blocks):
+        raise ValueError(f"cycle must be a nonempty subset of {{1, 2, 3}}, got {blocks}")
+    return blocks
 
 
 class Partition:
@@ -97,8 +140,7 @@ class BlockTriple:
     n3: int
 
     def __post_init__(self):
-        if min(self.n1, self.n2, self.n3) < 1:
-            raise ValueError(f"block sizes must be >= 1, got {self.sizes}")
+        check_sizes(self.sizes)
 
     @property
     def N(self) -> int:
@@ -256,10 +298,5 @@ def embed_cycle(A: Iterable[int], n: BlockTriple) -> Permutation:
 
     Blocks are visited in ascending order; a single block gives the identity.
     """
-    blocks = sorted(set(A))
-    if not blocks:
-        raise ValueError("cycle subset must be nonempty")
-    if not all(b in (1, 2, 3) for b in blocks):
-        raise ValueError(f"cycle subset must be within {{1, 2, 3}}, got {blocks}")
-    points = [n.first_index(b) for b in blocks]
+    points = [n.first_index(b) for b in cycle_blocks(A)]
     return Permutation.from_cycle(points, n.N)

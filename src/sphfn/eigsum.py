@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .characters import dim_two_row, multiplicity
 from .closed_form import SphericalQuery, phi_2cycle, phi_3cycle, phi_closed_form, phi_identity
-from .core import BlockTriple, complete_homogeneous
+from .core import BlockTriple, check_k, complete_homogeneous
 
 __all__ = [
     "DegreeTriple",
@@ -100,8 +100,7 @@ def eigenvalue_sum(n: BlockTriple, d: DegreeTriple, k: int, p: int) -> Fraction:
     """
     if p < 1:
         raise ValueError(f"need p >= 1, got {p}")
-    if k < 0 or 2 * k > n.N:
-        raise ValueError(f"need 0 <= 2k <= N, got k = {k}, N = {n.N}")
+    check_k(n.N, k)
     P, q = d.kappa.numerator, d.kappa.denominator
     scaled = (q * d.d1 + P * (n.n2 + n.n3), q * d.d2 + P * n.n3, q * d.d3)
     factorials = [math.factorial(size) for size in n.sizes]

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .characters import m_range
-from .core import BlockTriple, binom, pochhammer
+from .core import ZERO, BlockTriple, binom, pochhammer
 
 __all__ = [
     "hahn_E",
@@ -111,7 +111,7 @@ class CoeffTable:
 
     def get(self, u: int, v: int) -> Fraction:
         """Entry at (u, v); zero off the grid, so boundary cases need no care."""
-        return self._entries.get((u, v), Fraction(0))
+        return self._entries.get((u, v), ZERO)
 
     def labels(self) -> list[tuple[int, int]]:
         return sorted(self._entries)

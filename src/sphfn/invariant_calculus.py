@@ -13,7 +13,7 @@ from typing import Mapping
 
 from . import linalg
 from .characters import m_range
-from .core import BlockTriple
+from .core import ZERO, BlockTriple, pair_blocks
 from .hahn import CoeffTable, HahnContext, admissible_grid, psi1, psi2, psi_table
 
 __all__ = [
@@ -50,13 +50,6 @@ def check_difference_equation(table: CoeffTable) -> bool:
     return True
 
 
-def _normalize_pair(pair: tuple[int, int]) -> tuple[int, int]:
-    normalized = tuple(sorted(pair))
-    if normalized not in {(1, 2), (1, 3), (2, 3)}:
-        raise ValueError(f"pair must be two distinct blocks, got {pair}")
-    return normalized
-
-
 def apply_rho_g2(table: CoeffTable, pair: tuple[int, int] = (1, 2)) -> CoeffTable:
     """Table of the subgroup-averaged translate by the 2-cycle joining two blocks.
 
@@ -65,15 +58,15 @@ def apply_rho_g2(table: CoeffTable, pair: tuple[int, int] = (1, 2)) -> CoeffTabl
     two blocks; that mixture moves the label by at most one unit.
     """
     n, k = table.n, table.k
-    pair = _normalize_pair(pair)
-    na, nb = n.size(pair[0]), n.size(pair[1])
+    a, b, _ = pair_blocks(pair)
+    na, nb = n.size(a), n.size(b)
     entries: dict[tuple[int, int], Fraction] = {}
     for u, v in admissible_grid(n, k):
         w = k - u - v
-        if pair == (1, 2):
+        if (a, b) == (1, 2):
             stay = (n.n1 - u) * (n.n2 - v) + u * v
             moved = u * (n.n2 - v) * table.get(u - 1, v + 1) + (n.n1 - u) * v * table.get(u + 1, v - 1)
-        elif pair == (1, 3):
+        elif (a, b) == (1, 3):
             stay = (n.n1 - u) * (n.n3 - w) + u * w
             moved = u * (n.n3 - w) * table.get(u - 1, v) + (n.n1 - u) * w * table.get(u + 1, v)
         else:
@@ -159,7 +152,7 @@ class InvariantExpansion:
         return self._k
 
     def coefficient(self, m: int) -> Fraction:
-        return self._coeffs.get(m, Fraction(0))
+        return self._coeffs.get(m, ZERO)
 
     def items(self):
         return iter(self._coeffs.items())
@@ -168,7 +161,7 @@ class InvariantExpansion:
         entries: dict[tuple[int, int], Fraction] = {}
         for m, c in self._coeffs.items():
             for uv, value in psi_table(HahnContext(self._n, self._k, m)).items():
-                entries[uv] = entries.get(uv, Fraction(0)) + c * value
+                entries[uv] = entries.get(uv, ZERO) + c * value
         return CoeffTable(self._n, self._k, entries)
 
     def __eq__(self, other) -> bool:

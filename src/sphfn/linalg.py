@@ -13,18 +13,18 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 Matrix = list[list[Fraction]]
 
-__all__ = ["row_echelon", "nullspace", "solve", "rank"]
+__all__ = ["row_echelon", "nullspace", "solve", "rank", "over_common_denominator"]
 
 
-def _integer_row(row: Sequence) -> list[int]:
-    """The row scaled to coprime integers by a positive factor."""
-    values = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
+def over_common_denominator(values: Iterable) -> tuple[list[int], int]:
+    """Integers x_i and the positive lcm d of the denominators, values_i = x_i / d."""
+    values = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in values]
     scale = math.lcm(*(x.denominator for x in values))
-    return _primitive([x.numerator * (scale // x.denominator) for x in values])
+    return [x.numerator * (scale // x.denominator) for x in values], scale
 
 
 def _primitive(row: list[int]) -> list[int]:
@@ -35,7 +35,7 @@ def _primitive(row: list[int]) -> list[int]:
 
 def row_echelon(matrix: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and the list of pivot column indices."""
-    m = [_integer_row(row) for row in matrix]
+    m = [_primitive(over_common_denominator(row)[0]) for row in matrix]
     if not m:
         return [], []
     ncols = len(m[0])
@@ -97,6 +97,8 @@ def solve(matrix: Sequence[Sequence], rhs: Sequence) -> list[Fraction]:
     """
     if not matrix:
         raise ValueError("cannot solve an empty system")
+    if len(rhs) != len(matrix):
+        raise ValueError(f"{len(matrix)} equations but {len(rhs)} right-hand sides")
     ncols = len(matrix[0])
     augmented = [list(row) + [b] for row, b in zip(matrix, rhs)]
     echelon, pivots = row_echelon(augmented)

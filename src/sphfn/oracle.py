@@ -28,10 +28,13 @@ from typing import Iterable, Mapping
 from . import linalg
 from .characters import centralizer_order, mn_character, two_row
 from .core import (
+    ZERO,
     BlockTriple,
     Partition,
     Permutation,
     binom,
+    check_k,
+    check_sizes,
     compose,
     cycle_type,
     partitions,
@@ -127,6 +130,24 @@ def _coset_type_counts(sizes: tuple[int, int, int], g_images: tuple[int, ...]) -
     return _class_type_counts(sizes, tuple(b in blocks for b in range(len(sizes))))
 
 
+def _check_order(sizes: tuple[int, ...], bound: int) -> int:
+    """The subgroup order, the product of the block factorials, if within bound."""
+    order = math.prod(map(math.factorial, sizes))
+    if order > bound:
+        raise OracleBoundExceeded(
+            f"subgroup order {order} exceeds bound {bound} for n = {sizes}"
+        )
+    return order
+
+
+def _coset_average(shape: Partition, histogram: Histogram, order: int) -> Fraction:
+    """The character of shape summed over a coset's cycle types, over its size."""
+    total = 0
+    for mu_parts, count in histogram:
+        total += count * mn_character(shape, Partition(mu_parts))
+    return Fraction(total, order)
+
+
 def phi_character_oracle(
     n: BlockTriple, k: int, g: Permutation, bound: int = DEFAULT_BOUND
 ) -> Fraction:
@@ -137,16 +158,9 @@ def phi_character_oracle(
     """
     if g.N != n.N:
         raise ValueError(f"permutation acts on {g.N} points, blocks cover {n.N}")
-    order = math.factorial(n.n1) * math.factorial(n.n2) * math.factorial(n.n3)
-    if order > bound:
-        raise OracleBoundExceeded(
-            f"subgroup order {order} exceeds bound {bound} for n = {n.sizes}"
-        )
+    order = _check_order(n.sizes, bound)
     shape = two_row(n.N, k)
-    total = 0
-    for mu_parts, count in _coset_type_counts(n.sizes, g.images):
-        total += count * mn_character(shape, Partition(mu_parts))
-    return Fraction(total, order)
+    return _coset_average(shape, _coset_type_counts(n.sizes, g.images), order)
 
 
 @functools.lru_cache(maxsize=None)
@@ -160,24 +174,13 @@ def two_factor_character_oracle(
 ) -> Fraction:
     """Same average for two blocks only, at the 2-cycle joining them.
 
-    Counted directly here; the rest of the package stays three-block. The
-    bound caps the subgroup order n1! n2!.
+    The rest of the package stays three-block. The bound caps the subgroup
+    order n1! n2!.
     """
-    if n1 < 1 or n2 < 1:
-        raise ValueError(f"block sizes must be >= 1, got ({n1}, {n2})")
-    N = n1 + n2
-    if k < 0 or 2 * k > N:
-        raise ValueError(f"need 0 <= 2k <= N, got k = {k}, N = {N}")
-    order = math.factorial(n1) * math.factorial(n2)
-    if order > bound:
-        raise OracleBoundExceeded(
-            f"subgroup order {order} exceeds bound {bound} for n = ({n1}, {n2})"
-        )
-    shape = two_row(N, k)
-    total = 0
-    for mu_parts, count in _two_factor_type_counts(n1, n2):
-        total += count * mn_character(shape, Partition(mu_parts))
-    return Fraction(total, order)
+    check_sizes((n1, n2))
+    shape = two_row(n1 + n2, k)
+    order = _check_order((n1, n2), bound)
+    return _coset_average(shape, _two_factor_type_counts(n1, n2), order)
 
 
 class VkVector:
@@ -216,7 +219,7 @@ class VkVector:
             raise ValueError("coordinates violate the divergence condition")
 
     def _divergence_free(self) -> bool:
-        values, _ = _over_common_denominator(self._coords.values())
+        values, _ = linalg.over_common_denominator(self._coords.values())
         sums: dict[tuple[int, ...], int] = {}
         for subset, x in zip(self._coords, values):
             for i in range(len(subset)):
@@ -233,7 +236,7 @@ class VkVector:
         return self._k
 
     def coord(self, subset: Iterable[int]) -> Fraction:
-        return self._coords.get(tuple(sorted(subset)), Fraction(0))
+        return self._coords.get(tuple(sorted(subset)), ZERO)
 
     def items(self):
         return iter(sorted(self._coords.items()))
@@ -261,13 +264,6 @@ class VkVector:
         return f"VkVector(N={self._N}, k={self._k}, {len(self._coords)} nonzero)"
 
 
-def _over_common_denominator(values: Iterable[Fraction]) -> tuple[list[int], int]:
-    """Integers x_i and a positive d with values_i = x_i / d."""
-    values = list(values)
-    scale = math.lcm(*(x.denominator for x in values))
-    return [x.numerator * (scale // x.denominator) for x in values], scale
-
-
 def _subsets(N: int, k: int) -> list[tuple[int, ...]]:
     return list(itertools.combinations(range(1, N + 1), k))
 
@@ -286,8 +282,7 @@ def build_Vk_basis(N: int, k: int, bound: int = DEFAULT_BOUND) -> list[VkVector]
     One equation per (k-1)-subset; the kernel has dimension
     C(N, k) - C(N, k-1). Small N only.
     """
-    if k < 0 or 2 * k > N:
-        raise ValueError(f"need 0 <= 2k <= N, got k = {k}, N = {N}")
+    check_k(N, k)
     _check_space_bound(N, k, bound)
     if k == 0:
         return [VkVector(N, 0, {(): Fraction(1)})]
@@ -366,8 +361,7 @@ def invariants_in_Vk(n: BlockTriple, k: int, bound: int = DEFAULT_BOUND) -> list
     The count equals the multiplicity of the two-row shape; each vector is
     constant on subset orbits and so corresponds to one coefficient table.
     """
-    if k < 0 or 2 * k > n.N:
-        raise ValueError(f"need 0 <= 2k <= N, got k = {k}, N = {n.N}")
+    check_k(n.N, k)
     _check_space_bound(n.N, k, bound)
     labelled = _labelled_subsets(n, k)
     vectors = []
@@ -400,7 +394,7 @@ def project_to_invariant(vec: VkVector, n: BlockTriple) -> VkVector:
     sums: dict[tuple[int, int], Fraction] = {}
     sizes: Counter = Counter()
     for subset, uv in labelled:
-        sums[uv] = sums.get(uv, Fraction(0)) + vec.coord(subset)
+        sums[uv] = sums.get(uv, ZERO) + vec.coord(subset)
         sizes[uv] += 1
     means = {uv: sums[uv] / sizes[uv] for uv in sums}
     return VkVector(vec.N, vec.k, {subset: means[uv] for subset, uv in labelled})
@@ -432,8 +426,7 @@ def phi_module_oracle(
     """
     if g.N != n.N:
         raise ValueError(f"permutation acts on {g.N} points, blocks cover {n.N}")
-    if k < 0 or 2 * k > n.N:
-        raise ValueError(f"need 0 <= 2k <= N, got k = {k}, N = {n.N}")
+    check_k(n.N, k)
     _check_space_bound(n.N, k, bound)
     basis_tables = _invariant_tables(n, k)
     if not basis_tables:
@@ -462,7 +455,7 @@ def phi_module_oracle(
     matrix = [[table.get(u, v) for table in basis_tables] for u, v in labels]
     trace = Fraction(0)
     for i, table in enumerate(basis_tables):
-        values, scale = _over_common_denominator(table.get(u, v) for u, v in labels)
+        values, scale = linalg.over_common_denominator(table.get(u, v) for u, v in labels)
         check(values, f"invariant vector {i}")
         image = [sum(c * x for c, x in zip(row, values)) for row in counts]
         check([y * (common_size // size) for y, size in zip(image, sizes)], f"projected image {i}")

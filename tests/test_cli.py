@@ -122,20 +122,27 @@ class TestCompute:
         assert json.loads(again.output)["value"] == first["value"]
 
     @pytest.mark.parametrize(
-        "args",
+        "args, stderr",
         [
-            ["--n", "0,1,1", "--k", "0", "--cycle", "1"],
-            ["--n", "1,1,1", "--k", "2", "--cycle", "1,2"],
-            ["--n", "1,1,1", "--k", "1", "--cycle", "4"],
-            ["--n", "1,1", "--k", "1", "--cycle", "1"],
-            ["--n", "a,b,c", "--k", "1", "--cycle", "1"],
-            ["--n", "1,1,1", "--k", "-1", "--cycle", "1"],
+            (["--n", "0,1,1", "--k", "0", "--cycle", "1"],
+             "error: block sizes must be >= 1, got (0, 1, 1)\n"),
+            (["--n", "1,1,1", "--k", "2", "--cycle", "1,2"],
+             "error: need 0 <= 2k <= N, got k = 2, N = 3\n"),
+            (["--n", "1,1,1", "--k", "1", "--cycle", "4"],
+             "error: cycle must be a nonempty subset of 1,2,3, got '4'\n"),
+            (["--n", "1,1", "--k", "1", "--cycle", "1"],
+             "error: need three comma-separated sizes, got '1,1'\n"),
+            (["--n", "a,b,c", "--k", "1", "--cycle", "1"],
+             "error: invalid literal for int() with base 10: 'a'\n"),
+            (["--n", "1,1,1", "--k", "-1", "--cycle", "1"],
+             "error: need 0 <= 2k <= N, got k = -1, N = 3\n"),
         ],
     )
-    def test_invalid_input_exits_two(self, runner, args):
+    def test_invalid_input_exits_two(self, runner, args, stderr):
         result = runner.invoke(main, ["compute"] + args)
         assert result.exit_code == 2, result.output
         assert "error:" in result.output
+        assert result.stderr == stderr
 
     def test_refused_oracle_exits_three(self, runner):
         result = runner.invoke(
@@ -257,17 +264,22 @@ class TestEigsum:
         assert json.loads(result.output)["kappa"] == "-1/2"
 
     @pytest.mark.parametrize(
-        "args",
+        "args, stderr",
         [
-            ["--n", "1,1,1", "--k", "1", "--d", "1,1,0", "--order", "2"],
-            ["--n", "1,1,1", "--k", "1", "--d", "2,1,0", "--order", "0"],
-            ["--n", "1,1,1", "--k", "1", "--d", "2,1,0", "--order", "2", "--kappa", "x"],
-            ["--n", "1,1,1", "--k", "2", "--d", "2,1,0", "--order", "2"],
+            (["--n", "1,1,1", "--k", "1", "--d", "1,1,0", "--order", "2"],
+             "error: need d1 > d2 > d3 >= 0, got (1, 1, 0)\n"),
+            (["--n", "1,1,1", "--k", "1", "--d", "2,1,0", "--order", "0"],
+             "error: need p >= 1, got 0\n"),
+            (["--n", "1,1,1", "--k", "1", "--d", "2,1,0", "--order", "2", "--kappa", "x"],
+             "error: cannot parse rational 'x'\n"),
+            (["--n", "1,1,1", "--k", "2", "--d", "2,1,0", "--order", "2"],
+             "error: need 0 <= 2k <= N, got k = 2, N = 3\n"),
         ],
     )
-    def test_invalid_input_exits_two(self, runner, args):
+    def test_invalid_input_exits_two(self, runner, args, stderr):
         result = runner.invoke(main, ["eigsum"] + args)
         assert result.exit_code == 2, result.output
+        assert result.stderr == stderr
 
     def test_diagnostic_disagreement_reported(self, runner):
         result = runner.invoke(

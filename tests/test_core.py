@@ -1,10 +1,30 @@
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sphfn.characters import dim_two_row, m_range, multiplicity, two_row
+from sphfn.closed_form import (
+    SphericalQuery,
+    phi_2cycle,
+    phi_2cycle_two_factor,
+    phi_3cycle,
+    phi_identity,
+    phi_special,
+)
+from sphfn.eigsum import DegreeTriple, eigenvalue_sum
+from sphfn.hahn import CoeffTable, HahnContext
+from sphfn.invariant_calculus import apply_rho_g2
+from sphfn.oracle import (
+    build_Vk_basis,
+    invariants_in_Vk,
+    phi_character_oracle,
+    phi_module_oracle,
+    two_factor_character_oracle,
+)
 from sphfn.core import (
     BlockTriple,
     Partition,
@@ -176,3 +196,60 @@ class TestBlocks:
             embed_cycle((), n)
         with pytest.raises(ValueError):
             embed_cycle((1, 4), n)
+
+
+TINY = BlockTriple(1, 1, 1)  # N = 3, so k = 2 is the first k with 2k > N
+
+
+def _k_rule_cases(k: int) -> list:
+    degrees = DegreeTriple(2, 1, 0)
+    identity = Permutation.identity(3)
+    calls = {
+        "two_row": lambda: two_row(3, k),
+        "dim_two_row": lambda: dim_two_row(3, k),
+        "m_range": lambda: m_range(TINY, k),
+        "multiplicity": lambda: multiplicity(TINY, k),
+        "phi_identity": lambda: phi_identity(TINY, k),
+        "HahnContext": lambda: HahnContext(TINY, k, 0),
+        "SphericalQuery": lambda: SphericalQuery(TINY, k, (1, 2)),
+        "phi_2cycle": lambda: phi_2cycle(TINY, k),
+        "phi_3cycle": lambda: phi_3cycle(TINY, k),
+        "phi_special": lambda: phi_special(TINY, k),
+        "eigenvalue_sum": lambda: eigenvalue_sum(TINY, degrees, k, 1),
+        "phi_character_oracle": lambda: phi_character_oracle(TINY, k, identity),
+        "two_factor_character_oracle": lambda: two_factor_character_oracle(1, 2, k),
+        "build_Vk_basis": lambda: build_Vk_basis(3, k),
+        "invariants_in_Vk": lambda: invariants_in_Vk(TINY, k),
+        "phi_module_oracle": lambda: phi_module_oracle(TINY, k, identity),
+    }
+    message = f"need 0 <= 2k <= N, got k = {k}, N = 3"
+    return [pytest.param(call, message, id=f"{name}-k={k}") for name, call in calls.items()]
+
+
+RULE_CASES = (
+    _k_rule_cases(-1)
+    + _k_rule_cases(2)
+    + [
+        pytest.param(lambda: BlockTriple(1, 0, 1), "block sizes must be >= 1, got (1, 0, 1)",
+                     id="BlockTriple"),
+        pytest.param(lambda: phi_2cycle_two_factor(0, 1, 0), "block sizes must be >= 1, got (0, 1)",
+                     id="phi_2cycle_two_factor"),
+        pytest.param(lambda: two_factor_character_oracle(1, 0, 0),
+                     "block sizes must be >= 1, got (1, 0)", id="two_factor_character_oracle"),
+        pytest.param(lambda: phi_2cycle(TINY, 1, (1, 1)),
+                     "pair must be two distinct blocks, got (1, 1)", id="phi_2cycle"),
+        pytest.param(lambda: apply_rho_g2(CoeffTable(TINY, 1, {}), (1, 1)),
+                     "pair must be two distinct blocks, got (1, 1)", id="apply_rho_g2"),
+        pytest.param(lambda: embed_cycle((4,), TINY),
+                     "cycle must be a nonempty subset of {1, 2, 3}, got (4,)", id="embed_cycle"),
+        pytest.param(lambda: SphericalQuery(TINY, 1, (4,)),
+                     "cycle must be a nonempty subset of {1, 2, 3}, got (4,)", id="SphericalQuery"),
+    ]
+)
+
+
+@pytest.mark.parametrize("call, message", RULE_CASES)
+def test_input_rule_has_one_wording(call, message):
+    """Every entry point rejects bad input with the message of the rule's owner in core."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

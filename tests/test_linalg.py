@@ -111,6 +111,18 @@ def test_solve_inconsistent():
         linalg.solve([[Fraction(1)], [Fraction(1)]], [Fraction(1), Fraction(2)])
 
 
+@pytest.mark.parametrize(
+    "matrix, rhs",
+    [
+        ([[1], [2]], [1]),  # an equation without a right-hand side
+        ([[1, 0], [0, 1]], [1, 2, 3]),  # a right-hand side without an equation
+    ],
+)
+def test_solve_rejects_mismatched_rhs(matrix, rhs):
+    with pytest.raises(ValueError, match="equations but"):
+        linalg.solve(matrix, rhs)
+
+
 def test_nullspace_empty_matrix_needs_ncols():
     with pytest.raises(ValueError):
         linalg.nullspace([])
