@@ -8,12 +8,13 @@ two-variable one in (u, v).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .characters import m_range
-from .core import ZERO, BlockTriple, binom, pochhammer
+from .core import ZERO, BlockTriple
 
 __all__ = [
     "hahn_E",
@@ -26,26 +27,42 @@ __all__ = [
 ]
 
 
+def _rising(a, m: int) -> list:
+    """The rising factorials (a)_0, (a)_1, ..., (a)_m, built in one pass."""
+    values = [1]
+    for i in range(m):
+        values.append(values[-1] * (a + i))
+    return values
+
+
+def _hahn_weights(m: int, alpha: int, beta: int) -> list[int]:
+    """The t-free integers (-1)^i C(m, i) (beta-m+1)_i (alpha-m+1)_{m-i} of E_m."""
+    if m < 0:
+        raise ValueError(f"degree must be >= 0, got {m}")
+    lower = _rising(beta - m + 1, m)
+    upper = _rising(alpha - m + 1, m)
+    return [
+        (-1) ** i * math.comb(m, i) * lower[i] * upper[m - i] for i in range(m + 1)
+    ]
+
+
+def _hahn_sum(weights: list[int], gamma, t):
+    """sum_i w_i (-t)_i (t-gamma)_{m-i}, an integer when t and gamma are."""
+    m = len(weights) - 1
+    lower = _rising(-t, m)
+    upper = _rising(t - gamma, m)
+    return sum(w * lower[i] * upper[m - i] for i, w in enumerate(weights))
+
+
 def hahn_E(m: int, alpha: int, beta: int, gamma, t) -> Fraction:
     """Degree-m Hahn-type polynomial E_m(alpha, beta, gamma; t).
 
     E_m = sum_i (-1)^i C(m, i) (beta-m+1)_i (alpha-m+1)_{m-i} (-t)_i (t-gamma)_{m-i}.
+
+    The t-free weights and the t-dependent sum are split so that psi_table
+    can compute the weights once per table; this is the only body of E_m.
     """
-    if m < 0:
-        raise ValueError(f"degree must be >= 0, got {m}")
-    total = Fraction(0)
-    for i in range(m + 1):
-        term = (
-            binom(m, i)
-            * pochhammer(beta - m + 1, i)
-            * pochhammer(alpha - m + 1, m - i)
-            * pochhammer(-t, i)
-            * pochhammer(t - gamma, m - i)
-        )
-        if i % 2:
-            term = -term
-        total += term
-    return Fraction(total)
+    return Fraction(_hahn_sum(_hahn_weights(m, alpha, beta), gamma, t))
 
 
 @dataclass(frozen=True)
@@ -146,12 +163,18 @@ class CoeffTable:
 
 
 def psi_table(ctx: HahnContext) -> CoeffTable:
-    """The invariant vector labeled m, tabulated over the orbit grid."""
-    first_factor = {
-        t: psi1(ctx, t) for t in {u + v for u, v in admissible_grid(ctx.n, ctx.k)}
-    }
+    """The invariant vector labeled m, tabulated over the orbit grid.
+
+    Entry (u, v) is psi1(u + v) psi2(u, v). The Hahn weights of both factors
+    are computed once per table, and every grid point is then evaluated in
+    integers, with psi1 once per value of u + v.
+    """
+    n, k, m = ctx.n, ctx.k, ctx.m
+    first_weights = _hahn_weights(k - m, n.n3, n.n1 + n.n2 - 2 * m)
+    second_weights = _hahn_weights(m, n.n2, n.n1)
+    grid = admissible_grid(n, k)
+    first_factor = {t: _hahn_sum(first_weights, k - m, k - t) for t in {u + v for u, v in grid}}
     entries = {
-        (u, v): first_factor[u + v] * psi2(ctx, u, v)
-        for (u, v) in admissible_grid(ctx.n, ctx.k)
+        (u, v): first_factor[u + v] * _hahn_sum(second_weights, u + v, v) for u, v in grid
     }
-    return CoeffTable(ctx.n, ctx.k, entries)
+    return CoeffTable(n, k, entries)

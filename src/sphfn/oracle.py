@@ -14,6 +14,13 @@ Two oracles, independent of each other and of the Hahn machinery:
 Both refuse to run past a size bound: the subgroup order n1! n2! n3! for the
 character oracle, C(N, k) for the module oracle. They exist to be right, not
 fast.
+
+The invariant basis of each (n, k) is solved once and kept in a bounded
+cache (the 128 most recent), so the five cycles of one (n, k) and
+invariants_in_Vk share one nullspace. Sharing skips no check: every call
+still checks each basis table and each projected image for divergence, and
+every VkVector handed out checks its own. The coset histograms are kept in
+bounded caches too.
 """
 from __future__ import annotations
 
@@ -115,7 +122,9 @@ def _class_type_counts(sizes: tuple[int, ...], marked: tuple[bool, ...]) -> Hist
     return tuple(sorted(counts.items()))
 
 
-@functools.lru_cache(maxsize=None)
+# Bounded so a long sweep's memory stays flat; a verify sweep at blocks <= 4
+# holds 256 histograms.
+@functools.lru_cache(maxsize=1024)
 def _coset_type_counts(sizes: tuple[int, int, int], g_images: tuple[int, ...]) -> Histogram:
     """Cycle-type histogram of {g h : h in the block subgroup}, cached.
 
@@ -163,7 +172,8 @@ def phi_character_oracle(
     return _coset_average(shape, _coset_type_counts(n.sizes, g.images), order)
 
 
-@functools.lru_cache(maxsize=None)
+# Bounded like _coset_type_counts; every n1 + n2 <= 9 is 36 histograms.
+@functools.lru_cache(maxsize=256)
 def _two_factor_type_counts(n1: int, n2: int) -> Histogram:
     """Cycle-type histogram of the coset of the 2-cycle joining two blocks."""
     return _class_type_counts((n1, n2), (True, True))
@@ -219,11 +229,12 @@ class VkVector:
             raise ValueError("coordinates violate the divergence condition")
 
     def _divergence_free(self) -> bool:
+        if self._k == 0:  # no faces
+            return True
         values, _ = linalg.over_common_denominator(self._coords.values())
         sums: dict[tuple[int, ...], int] = {}
         for subset, x in zip(self._coords, values):
-            for i in range(len(subset)):
-                smaller = subset[:i] + subset[i + 1:]
+            for smaller in itertools.combinations(subset, self._k - 1):
                 sums[smaller] = sums.get(smaller, 0) + x
         return not any(sums.values())
 
@@ -323,36 +334,46 @@ def _labelled_subsets(n: BlockTriple, k: int) -> list[tuple[tuple[int, ...], tup
     ]
 
 
-def _invariant_tables(n: BlockTriple, k: int) -> list[CoeffTable]:
-    """Orbit-constant solutions of the raw divergence system.
+@functools.lru_cache(maxsize=128)
+def _invariant_tables(n: BlockTriple, k: int) -> tuple[CoeffTable, ...]:
+    """Orbit-constant solutions of the raw divergence system, cached per (n, k).
 
     Invariance under the block subgroup forces one unknown per orbit label;
     every (k-1)-subset then contributes one equation on those unknowns, with
     a 1 for each point j outside it, at the label of the subset plus j. All
     equations are imposed verbatim, without collapsing them into the label
     recurrence, so this stays independent of the difference-equation code.
+    A (k-1)-subset's label need not be on the degree-k grid, so its three
+    target labels are looked up once with .get; a point j outside the subset
+    only ever lands on a target that exists.
     """
     if k == 0:
-        return [CoeffTable(n, 0, {(0, 0): Fraction(1)})]
+        return (CoeffTable(n, 0, {(0, 0): Fraction(1)}),)
     labels = admissible_grid(n, k)
     label_index = {uv: j for j, uv in enumerate(labels)}
     point_blocks = _point_blocks(n)
     seen: set[tuple[int, ...]] = set()
     rows = []
     for smaller, (u, v) in _labelled_subsets(n, k - 1):
+        targets = (
+            label_index.get((u + 1, v)),
+            label_index.get((u, v + 1)),
+            label_index.get((u, v)),
+        )
+        inside = set(smaller)
         row = [0] * len(labels)
         for j, block in enumerate(point_blocks, 1):
-            if j not in smaller:
-                row[label_index[u + (block == 1), v + (block == 2)]] += 1
+            if j not in inside:
+                row[targets[block - 1]] += 1
         key = tuple(row)
         if key not in seen:  # repeated subsets give literally equal equations
             seen.add(key)
             rows.append(row)
     kernel = linalg.nullspace(rows, ncols=len(labels))
-    return [
+    return tuple(
         CoeffTable(n, k, {uv: value for uv, value in zip(labels, vec)})
         for vec in kernel
-    ]
+    )
 
 
 def invariants_in_Vk(n: BlockTriple, k: int, bound: int = DEFAULT_BOUND) -> list[VkVector]:
@@ -443,8 +464,8 @@ def phi_module_oracle(
         sizes[a] += 1
         moved = [image_blocks[i - 1] for i in subset]
         counts[label_index[moved.count(1), moved.count(2)]][a] += 1
-        for i in range(k):
-            faces.setdefault(subset[:i] + subset[i + 1:], [0] * len(labels))[a] += 1
+        for face in itertools.combinations(subset, k - 1) if k else ():
+            faces.setdefault(face, [0] * len(labels))[a] += 1
     divergence = {tuple(row) for row in faces.values()}
 
     def check(values: list[int], what: str) -> None:

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import random
 
 import pytest
 from click.testing import CliRunner
@@ -330,3 +331,60 @@ class TestSelfCheckFailure:
         assert isinstance(result.exception, SystemExit)
         assert result.stderr.startswith("error: 3-cycle regroupings disagree")
         assert "Traceback" not in result.output
+
+
+class TestFuzz:
+    """Seeded random argv, good and bad tokens mixed: every one ends in a
+    documented exit code, never in an exception other than SystemExit."""
+
+    BAD = ["", "1/0", "-1", "1.5", "1,1,1,1", "x", "0"]
+    OPTIONS = {
+        "compute": {
+            "--n": ["1,1,1", "2,1,1", "1,2,2", "2,2,2", "3,2,1"],
+            "--k": ["0", "1", "2", "3"],
+            "--cycle": ["1", "1,2", "1,3", "2,3", "1,2,3", "3,2", "4", "1,1"],
+            "--method": ["closed", "oracle", "module", "all", "exact"],
+            "--format": ["json", "csv", "xml"],
+            "--oracle-bound": ["1", "10", "1000000"],
+        },
+        "verify": {
+            "--max-block": ["1", "2"],
+            "--suite": ["twocycle", "threecycle", "eigen", "diffeq", "all", "none"],
+            "--oracle-bound": ["1", "10", "1000000"],
+        },
+        "eigsum": {
+            "--n": ["1,1,1", "2,2,2", "3,1,2", "2,2,5"],
+            "--k": ["0", "1", "2"],
+            "--d": ["2,1,0", "3,1,0", "0,1,2", "1,1,0"],
+            "--kappa": ["0", "1/2", "-3", "2"],
+            "--order": ["1", "2", "3"],
+        },
+    }
+
+    @staticmethod
+    def argv(rng):
+        command = rng.choice(sorted(TestFuzz.OPTIONS))
+        pairs = []
+        for option, good in TestFuzz.OPTIONS[command].items():
+            if rng.random() < 0.95:
+                pool = TestFuzz.BAD if rng.random() < 0.1 else good
+                pairs.append([option, rng.choice(pool)])
+        if command == "eigsum" and rng.random() < 0.3:
+            pairs.append(["--diagnose"])
+        if rng.random() < 0.05:
+            pairs.append(["--bogus", "1"])
+        rng.shuffle(pairs)
+        return [command] + [token for pair in pairs for token in pair]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_exit_codes(self, runner, seed):
+        rng = random.Random(seed)
+        for _ in range(500):
+            args = self.argv(rng)
+            result = runner.invoke(main, args)
+            assert result.exit_code in (0, 1, 2, 3), (args, result.output)
+            assert result.exception is None or isinstance(result.exception, SystemExit), (
+                args,
+                result.exception,
+            )
+            assert "Traceback" not in result.output, args

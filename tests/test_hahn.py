@@ -1,8 +1,11 @@
+import functools
 import itertools
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sphfn import linalg
 from sphfn.characters import m_range, multiplicity
@@ -33,7 +36,39 @@ def contexts(max_block):
                 yield HahnContext(n, k, m)
 
 
+def reference_hahn_E(m, alpha, beta, gamma, t):
+    """E_m term by term, one pochhammer per factor: the definition itself."""
+    total = Fraction(0)
+    for i in range(m + 1):
+        term = (
+            math.comb(m, i)
+            * pochhammer(beta - m + 1, i)
+            * pochhammer(alpha - m + 1, m - i)
+            * pochhammer(-t, i)
+            * pochhammer(t - gamma, m - i)
+        )
+        total += -term if i % 2 else term
+    return total
+
+
+small_ints = st.integers(min_value=-12, max_value=12)
+small_fractions = st.fractions(min_value=-12, max_value=12, max_denominator=7)
+
+
 class TestHahnE:
+    @given(
+        st.integers(min_value=0, max_value=9),
+        small_ints,
+        small_ints,
+        small_ints | small_fractions,
+        small_ints | small_fractions,
+    )
+    def test_matches_reference(self, m, alpha, beta, gamma, t):
+        value = hahn_E(m, alpha, beta, gamma, t)
+        assert type(value) is Fraction
+        assert value == reference_hahn_E(m, alpha, beta, gamma, t)
+
+
     def test_degree_zero(self):
         assert hahn_E(0, 3, 4, 5, 7) == 1
 
@@ -159,3 +194,24 @@ class TestPsiTable:
             ]
             matrix = [[t.get(u, v) for t in tables] for (u, v) in grid]
             assert linalg.rank(matrix) == multiplicity(n, k)
+
+    def test_entries_are_psi1_times_psi2(self):
+        for ctx in contexts(5):
+            for (u, v), value in psi_table(ctx).items():
+                assert value == psi1(ctx, u + v) * psi2(ctx, u, v), (ctx, (u, v))
+
+    def test_matches_reference_at_blocks_le_9(self):
+        """Every entry, for every m, against the term-by-term definition.
+
+        Both factors recur across triples (psi2 does not depend on n3 or k),
+        so the reference is evaluated once per distinct argument list.
+        """
+        reference = functools.cache(reference_hahn_E)
+        for ctx in contexts(9):
+            n, k, m = ctx.n, ctx.k, ctx.m
+            for (u, v), value in psi_table(ctx).items():
+                t = u + v
+                expected = reference(
+                    k - m, n.n3, n.n1 + n.n2 - 2 * m, k - m, k - t
+                ) * reference(m, n.n2, n.n1, t, v)
+                assert value == expected, (ctx, (u, v))

@@ -372,6 +372,48 @@ class TestModuleOracle:
         with pytest.raises(ValueError, match="coordinates violate the divergence"):
             invariants_in_Vk(n, 1)
 
+    def test_basis_cache_is_bounded(self):
+        n = BlockTriple(2, 1, 1)
+        assert isinstance(oracle._invariant_tables(n, 1), tuple)
+        assert isinstance(oracle._invariant_tables(n, 0), tuple)
+        assert oracle._invariant_tables.cache_info().maxsize is not None
+
+    def test_values_do_not_depend_on_the_basis_cache(self):
+        """Cleared, warm and overfilled (evicting) caches give the same values."""
+        tables = oracle._invariant_tables
+        pairs = [(n, k) for n in small_triples(3) for k in range(n.N // 2 + 1)]
+        assert any(k == 0 for _, k in pairs)
+
+        def value(n, k, cycle):
+            return phi_module_oracle(n, k, embed_cycle(cycle, n))
+
+        cleared = {}
+        for n, k in pairs:
+            for cycle in CYCLES:
+                tables.cache_clear()
+                cleared[n, k, cycle] = value(n, k, cycle)
+        warm = {case: value(*case) for case in cleared}
+        assert tables.cache_info().hits >= len(cleared) - len(pairs)
+        assert warm == cleared
+
+        # Touch one key from outside the sweep before each call, cycle-major:
+        # between two calls on the same (n, k) come more distinct keys than
+        # the cache holds, so every lookup misses and evicts.
+        fillers = itertools.cycle(
+            [(n, k) for n in small_triples(4) if 4 in n.sizes for k in range(n.N // 2 + 1)]
+        )
+        assert 2 * len(pairs) > tables.cache_info().maxsize, "the sweep no longer overfills"
+        tables.cache_clear()
+        overfilled = {}
+        for cycle in CYCLES:
+            for n, k in pairs:
+                tables(*next(fillers))
+                overfilled[n, k, cycle] = value(n, k, cycle)
+        info = tables.cache_info()
+        assert info.currsize == info.maxsize
+        assert info.hits == 0
+        assert overfilled == cleared
+
     def test_bound_refusal(self):
         n = BlockTriple(7, 7, 6)
         with pytest.raises(OracleBoundExceeded):
