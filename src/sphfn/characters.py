@@ -34,9 +34,7 @@ def _partition_from_beta(beta: list[int]) -> tuple[int, ...]:
     return tuple(p for p in parts if p > 0)
 
 
-# Bounded so a long sweep's memory stays flat; a verify sweep at blocks <= 4
-# holds about 1500 entries.
-@functools.lru_cache(maxsize=8192)
+@functools.cache
 def _mn(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
     if not mu:
         return 1 if not lam else 0

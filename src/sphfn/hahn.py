@@ -82,16 +82,28 @@ class HahnContext:
             )
 
 
+def _psi1_parameters(ctx: HahnContext):
+    """psi1's (degree, alpha, beta), and its (gamma, t) at t = u + v."""
+    n, k, m = ctx.n, ctx.k, ctx.m
+    return (k - m, n.n3, n.n1 + n.n2 - 2 * m), lambda t: (k - m, k - t)
+
+
+def _psi2_parameters(ctx: HahnContext):
+    """psi2's (degree, alpha, beta), and its (gamma, t) at (u, v)."""
+    n = ctx.n
+    return (ctx.m, n.n2, n.n1), lambda u, v: (u + v, v)
+
+
 def psi1(ctx: HahnContext, t) -> Fraction:
     """One-variable factor, a polynomial of degree k - m in t = u + v."""
-    n = ctx.n
-    return hahn_E(ctx.k - ctx.m, n.n3, n.n1 + n.n2 - 2 * ctx.m, ctx.k - ctx.m, ctx.k - t)
+    shape, at = _psi1_parameters(ctx)
+    return hahn_E(*shape, *at(t))
 
 
 def psi2(ctx: HahnContext, u, v) -> Fraction:
     """Two-variable factor, a degree-m Hahn polynomial in v on the line u + v."""
-    n = ctx.n
-    return hahn_E(ctx.m, n.n2, n.n1, u + v, v)
+    shape, at = _psi2_parameters(ctx)
+    return hahn_E(*shape, *at(u, v))
 
 
 def admissible_grid(n: BlockTriple, k: int) -> list[tuple[int, int]]:
@@ -169,12 +181,16 @@ def psi_table(ctx: HahnContext) -> CoeffTable:
     are computed once per table, and every grid point is then evaluated in
     integers, with psi1 once per value of u + v.
     """
-    n, k, m = ctx.n, ctx.k, ctx.m
-    first_weights = _hahn_weights(k - m, n.n3, n.n1 + n.n2 - 2 * m)
-    second_weights = _hahn_weights(m, n.n2, n.n1)
-    grid = admissible_grid(n, k)
-    first_factor = {t: _hahn_sum(first_weights, k - m, k - t) for t in {u + v for u, v in grid}}
-    entries = {
-        (u, v): first_factor[u + v] * _hahn_sum(second_weights, u + v, v) for u, v in grid
+    first_shape, first_at = _psi1_parameters(ctx)
+    second_shape, second_at = _psi2_parameters(ctx)
+    first_weights = _hahn_weights(*first_shape)
+    second_weights = _hahn_weights(*second_shape)
+    grid = admissible_grid(ctx.n, ctx.k)
+    first_factor = {
+        t: _hahn_sum(first_weights, *first_at(t)) for t in {u + v for u, v in grid}
     }
-    return CoeffTable(n, k, entries)
+    entries = {
+        (u, v): first_factor[u + v] * _hahn_sum(second_weights, *second_at(u, v))
+        for u, v in grid
+    }
+    return CoeffTable(ctx.n, ctx.k, entries)

@@ -16,11 +16,10 @@ character oracle, C(N, k) for the module oracle. They exist to be right, not
 fast.
 
 The invariant basis of each (n, k) is solved once and kept in a bounded
-cache (the 128 most recent), so the five cycles of one (n, k) and
+cache (the 512 most recent), so the five cycles of one (n, k) and
 invariants_in_Vk share one nullspace. Sharing skips no check: every call
 still checks each basis table and each projected image for divergence, and
-every VkVector handed out checks its own. The coset histograms are kept in
-bounded caches too.
+every VkVector handed out checks its own.
 """
 from __future__ import annotations
 
@@ -122,9 +121,7 @@ def _class_type_counts(sizes: tuple[int, ...], marked: tuple[bool, ...]) -> Hist
     return tuple(sorted(counts.items()))
 
 
-# Bounded so a long sweep's memory stays flat; a verify sweep at blocks <= 4
-# holds 256 histograms.
-@functools.lru_cache(maxsize=1024)
+@functools.lru_cache(maxsize=None)
 def _coset_type_counts(sizes: tuple[int, int, int], g_images: tuple[int, ...]) -> Histogram:
     """Cycle-type histogram of {g h : h in the block subgroup}, cached.
 
@@ -172,8 +169,7 @@ def phi_character_oracle(
     return _coset_average(shape, _coset_type_counts(n.sizes, g.images), order)
 
 
-# Bounded like _coset_type_counts; every n1 + n2 <= 9 is 36 histograms.
-@functools.lru_cache(maxsize=256)
+@functools.lru_cache(maxsize=None)
 def _two_factor_type_counts(n1: int, n2: int) -> Histogram:
     """Cycle-type histogram of the coset of the 2-cycle joining two blocks."""
     return _class_type_counts((n1, n2), (True, True))
@@ -229,12 +225,11 @@ class VkVector:
             raise ValueError("coordinates violate the divergence condition")
 
     def _divergence_free(self) -> bool:
-        if self._k == 0:  # no faces
-            return True
         values, _ = linalg.over_common_denominator(self._coords.values())
         sums: dict[tuple[int, ...], int] = {}
         for subset, x in zip(self._coords, values):
-            for smaller in itertools.combinations(subset, self._k - 1):
+            for i in range(len(subset)):
+                smaller = subset[:i] + subset[i + 1:]
                 sums[smaller] = sums.get(smaller, 0) + x
         return not any(sums.values())
 
@@ -334,7 +329,8 @@ def _labelled_subsets(n: BlockTriple, k: int) -> list[tuple[tuple[int, ...], tup
     ]
 
 
-@functools.lru_cache(maxsize=128)
+# 512 holds every (n, k) with blocks <= 4 (288 of them).
+@functools.lru_cache(maxsize=512)
 def _invariant_tables(n: BlockTriple, k: int) -> tuple[CoeffTable, ...]:
     """Orbit-constant solutions of the raw divergence system, cached per (n, k).
 
@@ -464,8 +460,8 @@ def phi_module_oracle(
         sizes[a] += 1
         moved = [image_blocks[i - 1] for i in subset]
         counts[label_index[moved.count(1), moved.count(2)]][a] += 1
-        for face in itertools.combinations(subset, k - 1) if k else ():
-            faces.setdefault(face, [0] * len(labels))[a] += 1
+        for i in range(k):
+            faces.setdefault(subset[:i] + subset[i + 1:], [0] * len(labels))[a] += 1
     divergence = {tuple(row) for row in faces.values()}
 
     def check(values: list[int], what: str) -> None:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sphfn import linalg
+from sphfn import hahn, linalg
 from sphfn.characters import m_range, multiplicity
 from sphfn.core import BlockTriple, pochhammer
 from sphfn.hahn import (
@@ -208,10 +208,10 @@ class TestPsiTable:
         """
         reference = functools.cache(reference_hahn_E)
         for ctx in contexts(9):
-            n, k, m = ctx.n, ctx.k, ctx.m
+            first_shape, first_at = hahn._psi1_parameters(ctx)
+            second_shape, second_at = hahn._psi2_parameters(ctx)
             for (u, v), value in psi_table(ctx).items():
-                t = u + v
-                expected = reference(
-                    k - m, n.n3, n.n1 + n.n2 - 2 * m, k - m, k - t
-                ) * reference(m, n.n2, n.n1, t, v)
+                expected = reference(*first_shape, *first_at(u + v)) * reference(
+                    *second_shape, *second_at(u, v)
+                )
                 assert value == expected, (ctx, (u, v))

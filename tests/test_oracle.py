@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -378,7 +379,7 @@ class TestModuleOracle:
         assert isinstance(oracle._invariant_tables(n, 0), tuple)
         assert oracle._invariant_tables.cache_info().maxsize is not None
 
-    def test_values_do_not_depend_on_the_basis_cache(self):
+    def test_values_do_not_depend_on_the_basis_cache(self, monkeypatch):
         """Cleared, warm and overfilled (evicting) caches give the same values."""
         tables = oracle._invariant_tables
         pairs = [(n, k) for n in small_triples(3) for k in range(n.N // 2 + 1)]
@@ -396,22 +397,19 @@ class TestModuleOracle:
         assert tables.cache_info().hits >= len(cleared) - len(pairs)
         assert warm == cleared
 
-        # Touch one key from outside the sweep before each call, cycle-major:
-        # between two calls on the same (n, k) come more distinct keys than
-        # the cache holds, so every lookup misses and evicts.
-        fillers = itertools.cycle(
-            [(n, k) for n in small_triples(4) if 4 in n.sizes for k in range(n.N // 2 + 1)]
-        )
-        assert 2 * len(pairs) > tables.cache_info().maxsize, "the sweep no longer overfills"
-        tables.cache_clear()
+        # The same body behind a one-entry cache, swept cycle-major: each
+        # call names a different (n, k) than the last, so every lookup
+        # misses and evicts.
+        evicting = functools.lru_cache(maxsize=1)(tables.__wrapped__)
+        monkeypatch.setattr(oracle, "_invariant_tables", evicting)
         overfilled = {}
         for cycle in CYCLES:
             for n, k in pairs:
-                tables(*next(fillers))
                 overfilled[n, k, cycle] = value(n, k, cycle)
-        info = tables.cache_info()
+        info = evicting.cache_info()
         assert info.currsize == info.maxsize
         assert info.hits == 0
+        assert info.misses == len(cleared)
         assert overfilled == cleared
 
     def test_bound_refusal(self):
