@@ -1,13 +1,19 @@
 """Operators on invariant coefficient tables.
 
-A table f(u, v) encodes a subgroup-invariant vector of the degree-k module.
-The maps here implement the subgroup-averaged action of the embedded short
-cycles on such vectors, entirely in terms of the orbit labels: translating a
-squarefree monomial by a transposition or 3-cycle moves at most one chosen
-point between blocks, so each operator couples only neighboring labels.
+A table f(u, v) encodes a subgroup-invariant vector of the degree-k module;
+its label x = (u, v, k - u - v) counts the chosen points in each block. One
+rule gives the subgroup-averaged action of a cycle p_1 -> ... -> p_r -> p_1
+through one point of each listed block, in ascending block order as
+embed_cycle builds it, moving the coordinate at E to g(E) as VkVector.apply
+does. Each p_i, in block b_i, is chosen (weight x_b_i) or not (n_b_i - x_b_i);
+a chosen p_i is the image of p_(i-1), so that pattern reads f at x with one
+point fewer in b_i and one more in b_(i-1). The image is the weighted sum
+over the 2^r patterns divided by the product of the n_b.
 """
 from __future__ import annotations
 
+import itertools
+import math
 from fractions import Fraction
 from typing import Mapping
 
@@ -50,30 +56,38 @@ def check_difference_equation(table: CoeffTable) -> bool:
     return True
 
 
-def apply_rho_g2(table: CoeffTable, pair: tuple[int, int] = (1, 2)) -> CoeffTable:
-    """Table of the subgroup-averaged translate by the 2-cycle joining two blocks.
-
-    The average over the subgroup turns the single embedded transposition into
-    the uniform mixture of all transpositions with one point in each of the
-    two blocks; that mixture moves the label by at most one unit.
-    """
+def _averaged_cycle(table: CoeffTable, blocks: tuple[int, ...]) -> CoeffTable:
+    """The module docstring's rule for ascending blocks, summed in integers."""
     n, k = table.n, table.k
-    a, b, _ = pair_blocks(pair)
-    na, nb = n.size(a), n.size(b)
+    grid = admissible_grid(n, k)
+    values, scale = linalg.over_common_denominator(table.get(u, v) for u, v in grid)
+    scaled = dict(zip(grid, values))
+    sizes = [n.size(b) for b in blocks]
+    patterns = []
+    for chosen in itertools.product((True, False), repeat=len(blocks)):
+        step = [0, 0, 0]  # from the label to the source's label
+        for i, b in enumerate(blocks):
+            step[b - 1] -= chosen[i]
+            step[blocks[i - 1] - 1] += chosen[i]
+        patterns.append((chosen, step[0], step[1]))
     entries: dict[tuple[int, int], Fraction] = {}
-    for u, v in admissible_grid(n, k):
-        w = k - u - v
-        if (a, b) == (1, 2):
-            stay = (n.n1 - u) * (n.n2 - v) + u * v
-            moved = u * (n.n2 - v) * table.get(u - 1, v + 1) + (n.n1 - u) * v * table.get(u + 1, v - 1)
-        elif (a, b) == (1, 3):
-            stay = (n.n1 - u) * (n.n3 - w) + u * w
-            moved = u * (n.n3 - w) * table.get(u - 1, v) + (n.n1 - u) * w * table.get(u + 1, v)
-        else:
-            stay = (n.n2 - v) * (n.n3 - w) + v * w
-            moved = v * (n.n3 - w) * table.get(u, v - 1) + (n.n2 - v) * w * table.get(u, v + 1)
-        entries[(u, v)] = Fraction(stay * table.get(u, v) + moved, na * nb)
+    for u, v in grid:
+        counts = [(u, v, k - u - v)[b - 1] for b in blocks]
+        total = 0
+        for chosen, du, dv in patterns:
+            source = scaled.get((u + du, v + dv))
+            if source:
+                weight = 1
+                for c, x, size in zip(chosen, counts, sizes):
+                    weight *= x if c else size - x
+                total += weight * source
+        entries[(u, v)] = Fraction(total, scale * math.prod(sizes))
     return CoeffTable(n, k, entries)
+
+
+def apply_rho_g2(table: CoeffTable, pair: tuple[int, int] = (1, 2)) -> CoeffTable:
+    """Table of the subgroup-averaged translate by the 2-cycle joining two blocks."""
+    return _averaged_cycle(table, pair_blocks(pair)[:2])
 
 
 def g2_eigenvalue(m: int, n1: int, n2: int) -> Fraction:
@@ -82,29 +96,8 @@ def g2_eigenvalue(m: int, n1: int, n2: int) -> Fraction:
 
 
 def apply_rho_g3(table: CoeffTable) -> CoeffTable:
-    """Table of the subgroup-averaged translate by the 3-cycle through all blocks.
-
-    Averaging gives the uniform mixture of 3-cycles (i j l) with i, j, l in
-    blocks 1, 2, 3; each chosen point of the monomial either sits on the cycle
-    or not, which yields the eight-term stencil below.
-    """
-    n, k = table.n, table.k
-    n1, n2, n3 = n.sizes
-    entries: dict[tuple[int, int], Fraction] = {}
-    for u, v in admissible_grid(n, k):
-        w = k - u - v
-        total = (
-            u * v * w * table.get(u, v)
-            + (n1 - u) * v * w * table.get(u + 1, v)
-            + u * v * (n3 - w) * table.get(u, v - 1)
-            + (n1 - u) * v * (n3 - w) * table.get(u + 1, v - 1)
-            + u * (n2 - v) * w * table.get(u - 1, v + 1)
-            + (n1 - u) * (n2 - v) * w * table.get(u, v + 1)
-            + u * (n2 - v) * (n3 - w) * table.get(u - 1, v)
-            + (n1 - u) * (n2 - v) * (n3 - w) * table.get(u, v)
-        )
-        entries[(u, v)] = Fraction(total, n1 * n2 * n3)
-    return CoeffTable(n, k, entries)
+    """Table of the subgroup-averaged translate by the 3-cycle through all blocks."""
+    return _averaged_cycle(table, (1, 2, 3))
 
 
 def extract_leading_coeff(table: CoeffTable, m: int) -> Fraction:

@@ -136,6 +136,11 @@ def _coset_type_counts(sizes: tuple[int, int, int], g_images: tuple[int, ...]) -
     return _class_type_counts(sizes, tuple(b in blocks for b in range(len(sizes))))
 
 
+def _check_permutation(g: Permutation, n: BlockTriple) -> None:
+    if g.N != n.N:
+        raise ValueError(f"permutation acts on {g.N} points, blocks cover {n.N}")
+
+
 def _check_order(sizes: tuple[int, ...], bound: int) -> int:
     """The subgroup order, the product of the block factorials, if within bound."""
     order = math.prod(map(math.factorial, sizes))
@@ -162,8 +167,7 @@ def phi_character_oracle(
     The bound caps the subgroup order n1! n2! n3!, however the coset's cycle
     types are counted.
     """
-    if g.N != n.N:
-        raise ValueError(f"permutation acts on {g.N} points, blocks cover {n.N}")
+    _check_permutation(g, n)
     order = _check_order(n.sizes, bound)
     shape = two_row(n.N, k)
     return _coset_average(shape, _coset_type_counts(n.sizes, g.images), order)
@@ -441,8 +445,7 @@ def phi_module_oracle(
     The projected table is constant on orbits by construction, and solve
     raises if it leaves the span of the basis.
     """
-    if g.N != n.N:
-        raise ValueError(f"permutation acts on {g.N} points, blocks cover {n.N}")
+    _check_permutation(g, n)
     check_k(n.N, k)
     _check_space_bound(n.N, k, bound)
     basis_tables = _invariant_tables(n, k)

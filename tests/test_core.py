@@ -244,6 +244,10 @@ RULE_CASES = (
                      "cycle must be a nonempty subset of {1, 2, 3}, got (4,)", id="embed_cycle"),
         pytest.param(lambda: SphericalQuery(TINY, 1, (4,)),
                      "cycle must be a nonempty subset of {1, 2, 3}, got (4,)", id="SphericalQuery"),
+        pytest.param(lambda: phi_character_oracle(TINY, 1, Permutation.identity(4)),
+                     "permutation acts on 4 points, blocks cover 3", id="phi_character_oracle-points"),
+        pytest.param(lambda: phi_module_oracle(TINY, 1, Permutation.identity(4)),
+                     "permutation acts on 4 points, blocks cover 3", id="phi_module_oracle-points"),
     ]
 )
 

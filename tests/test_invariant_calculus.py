@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from sphfn.characters import m_range, multiplicity
 from sphfn.closed_form import g3_diagonal_coeff, phi_2cycle, phi_3cycle
-from sphfn.core import BlockTriple
+from sphfn.core import BlockTriple, embed_cycle, pair_blocks
 from sphfn.hahn import CoeffTable, HahnContext, admissible_grid, psi_table
 from sphfn.invariant_calculus import (
     InvariantExpansion,
+    _averaged_cycle,
     apply_rho_g2,
     apply_rho_g3,
     check_difference_equation,
@@ -18,6 +19,7 @@ from sphfn.invariant_calculus import (
     extract_leading_coeff,
     g2_eigenvalue,
 )
+from sphfn.oracle import coeff_table_from_invariant, invariants_in_Vk, project_to_invariant
 
 PAIRS = [(1, 2), (1, 3), (2, 3)]
 
@@ -35,6 +37,60 @@ def contexts(max_block):
             m_lower, m_upper = m_range(n, k)
             for m in range(m_lower, m_upper + 1):
                 yield HahnContext(n, k, m)
+
+
+def reference_apply_rho_g2(table, pair=(1, 2)):
+    """The averaged 2-cycle written out by hand, one stencil per pair."""
+    n, k = table.n, table.k
+    a, b, _ = pair_blocks(pair)
+    entries = {}
+    for u, v in admissible_grid(n, k):
+        w = k - u - v
+        if (a, b) == (1, 2):
+            stay = (n.n1 - u) * (n.n2 - v) + u * v
+            moved = u * (n.n2 - v) * table.get(u - 1, v + 1) + (n.n1 - u) * v * table.get(u + 1, v - 1)
+        elif (a, b) == (1, 3):
+            stay = (n.n1 - u) * (n.n3 - w) + u * w
+            moved = u * (n.n3 - w) * table.get(u - 1, v) + (n.n1 - u) * w * table.get(u + 1, v)
+        else:
+            stay = (n.n2 - v) * (n.n3 - w) + v * w
+            moved = v * (n.n3 - w) * table.get(u, v - 1) + (n.n2 - v) * w * table.get(u, v + 1)
+        entries[(u, v)] = Fraction(stay * table.get(u, v) + moved, n.size(a) * n.size(b))
+    return CoeffTable(n, k, entries)
+
+
+def reference_apply_rho_g3(table):
+    """The averaged 3-cycle written out by hand: one term per pattern of chosen points."""
+    n, k = table.n, table.k
+    n1, n2, n3 = n.sizes
+    entries = {}
+    for u, v in admissible_grid(n, k):
+        w = k - u - v
+        total = (
+            u * v * w * table.get(u, v)
+            + (n1 - u) * v * w * table.get(u + 1, v)
+            + u * v * (n3 - w) * table.get(u, v - 1)
+            + (n1 - u) * v * (n3 - w) * table.get(u + 1, v - 1)
+            + u * (n2 - v) * w * table.get(u - 1, v + 1)
+            + (n1 - u) * (n2 - v) * w * table.get(u, v + 1)
+            + u * (n2 - v) * (n3 - w) * table.get(u - 1, v)
+            + (n1 - u) * (n2 - v) * (n3 - w) * table.get(u, v)
+        )
+        entries[(u, v)] = Fraction(total, n1 * n2 * n3)
+    return CoeffTable(n, k, entries)
+
+
+@st.composite
+def arbitrary_tables(draw):
+    """Any Fraction table on the grid: sparse or dense, in the module or not."""
+    n = BlockTriple(*(draw(st.integers(min_value=1, max_value=6)) for _ in range(3)))
+    k = draw(st.sampled_from([0, n.N // 2]) | st.integers(min_value=0, max_value=n.N // 2))
+    value = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+    entries = {}
+    for uv in admissible_grid(n, k):
+        if draw(st.booleans()):
+            entries[uv] = draw(value)
+    return CoeffTable(n, k, entries)
 
 
 @st.composite
@@ -181,6 +237,63 @@ class TestRhoG3:
                     image = apply_rho_g3(psi_table(HahnContext(n, k, m)))
                     trace += extract_leading_coeff(image, m)
                 assert trace == phi_3cycle(n, k), (n, k)
+
+
+class TestModuleAction:
+    """The stencils against the module itself: translate, then average over orbits."""
+
+    @staticmethod
+    def invariant_tables(max_block):
+        for n in small_triples(max_block):
+            for k in range(n.N // 2 + 1):
+                for vec in invariants_in_Vk(n, k):
+                    yield n, vec, coeff_table_from_invariant(vec, n)
+
+    @staticmethod
+    def averaged_translate(vec, n, cycle):
+        moved = vec.apply(embed_cycle(cycle, n))
+        return coeff_table_from_invariant(project_to_invariant(moved, n), n)
+
+    @pytest.mark.parametrize("pair", PAIRS + [(2, 1), (3, 1), (3, 2)])
+    def test_twocycle_is_the_averaged_translate(self, pair):
+        for n, vec, table in self.invariant_tables(3):
+            expected = self.averaged_translate(vec, n, pair)
+            assert apply_rho_g2(table, pair) == expected, (n, vec.k, pair)
+
+    def test_threecycle_is_the_averaged_translate(self):
+        for n, vec, table in self.invariant_tables(3):
+            expected = self.averaged_translate(vec, n, (1, 2, 3))
+            assert apply_rho_g3(table) == expected, (n, vec.k)
+
+    def test_one_block_is_the_identity(self):
+        for n, _, table in self.invariant_tables(3):
+            for block in (1, 2, 3):
+                assert _averaged_cycle(table, (block,)) == table, (n, table.k, block)
+
+
+class TestReferenceStencils:
+    """The one rule against the stencils written out by hand, on any table."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(arbitrary_tables(), st.sampled_from(PAIRS + [(2, 1), (3, 1), (3, 2)]))
+    def test_twocycle_matches_reference(self, table, pair):
+        assert apply_rho_g2(table, pair) == reference_apply_rho_g2(table, pair)
+
+    @settings(max_examples=200, deadline=None)
+    @given(arbitrary_tables())
+    def test_threecycle_matches_reference(self, table):
+        assert apply_rho_g3(table) == reference_apply_rho_g3(table)
+
+    def test_default_pair_is_blocks_one_and_two(self):
+        table = psi_table(HahnContext(BlockTriple(2, 3, 2), 3, 1)).scaled(Fraction(2, 7))
+        assert apply_rho_g2(table) == reference_apply_rho_g2(table, (1, 2))
+
+    def test_hahn_tables_match_reference(self):
+        for ctx in contexts(4):
+            table = psi_table(ctx)
+            assert apply_rho_g3(table) == reference_apply_rho_g3(table), ctx
+            for pair in PAIRS:
+                assert apply_rho_g2(table, pair) == reference_apply_rho_g2(table, pair), (ctx, pair)
 
 
 class TestExtraction:
