@@ -5,139 +5,22 @@ irreducible character of shape [N - k, k] over a coset of the subgroup
 preserving three consecutive blocks of [1, N], evaluated at the identity and
 at embedded 2- and 3-cycles, together with two brute-force oracles that
 recompute every value independently.
+
+Its public names are those each module lists in its own ``__all__``.
 """
-from .characters import (
-    centralizer_order,
-    dim_two_row,
-    m_range,
-    mn_character,
-    multiplicity,
-    two_row,
-)
-from .closed_form import (
-    SphericalQuery,
-    g3_diagonal_coeff,
-    phi_2cycle,
-    phi_2cycle_two_factor,
-    phi_3cycle,
-    phi_closed_form,
-    phi_identity,
-    phi_special,
-    xi,
-    zeta,
-)
-from .core import (
-    BlockTriple,
-    Partition,
-    Permutation,
-    binom,
-    complete_homogeneous,
-    compose,
-    cycle_type,
-    embed_cycle,
-    partitions,
-    pochhammer,
-    young_subgroup_elements,
-)
-from .eigsum import (
-    DegreeTriple,
-    ShiftedDegrees,
-    eigenvalue_sum,
-    eigenvalue_sum_recheck,
-    h_subset,
-    kappa_zero_diagnostic,
-    shifted_degrees,
-)
-from .hahn import (
-    CoeffTable,
-    HahnContext,
-    admissible_grid,
-    hahn_E,
-    psi1,
-    psi2,
-    psi_table,
-)
-from .invariant_calculus import (
-    InvariantExpansion,
-    apply_rho_g2,
-    apply_rho_g3,
-    check_difference_equation,
-    expand_in_psi_basis,
-    extract_leading_coeff,
-    g2_eigenvalue,
-)
-from .oracle import (
-    DEFAULT_BOUND,
-    OracleBoundExceeded,
-    VkVector,
-    build_Vk_basis,
-    coeff_table_from_invariant,
-    invariants_in_Vk,
-    phi_character_oracle,
-    phi_module_oracle,
-    project_to_invariant,
-    two_factor_character_oracle,
-)
+from . import characters, closed_form, core, eigsum, hahn, invariant_calculus, oracle
+from .characters import *  # noqa: F403
+from .closed_form import *  # noqa: F403
+from .core import *  # noqa: F403
+from .eigsum import *  # noqa: F403
+from .hahn import *  # noqa: F403
+from .invariant_calculus import *  # noqa: F403
+from .oracle import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BlockTriple",
-    "CoeffTable",
-    "DEFAULT_BOUND",
-    "DegreeTriple",
-    "HahnContext",
-    "InvariantExpansion",
-    "OracleBoundExceeded",
-    "Partition",
-    "Permutation",
-    "ShiftedDegrees",
-    "SphericalQuery",
-    "VkVector",
-    "admissible_grid",
-    "apply_rho_g2",
-    "apply_rho_g3",
-    "binom",
-    "build_Vk_basis",
-    "centralizer_order",
-    "check_difference_equation",
-    "coeff_table_from_invariant",
-    "complete_homogeneous",
-    "compose",
-    "cycle_type",
-    "dim_two_row",
-    "eigenvalue_sum",
-    "eigenvalue_sum_recheck",
-    "embed_cycle",
-    "expand_in_psi_basis",
-    "extract_leading_coeff",
-    "g2_eigenvalue",
-    "g3_diagonal_coeff",
-    "hahn_E",
-    "h_subset",
-    "invariants_in_Vk",
-    "kappa_zero_diagnostic",
-    "m_range",
-    "mn_character",
-    "multiplicity",
-    "partitions",
-    "phi_2cycle",
-    "phi_2cycle_two_factor",
-    "phi_3cycle",
-    "phi_character_oracle",
-    "phi_closed_form",
-    "phi_identity",
-    "phi_module_oracle",
-    "phi_special",
-    "pochhammer",
-    "project_to_invariant",
-    "psi1",
-    "psi2",
-    "psi_table",
-    "shifted_degrees",
-    "two_factor_character_oracle",
-    "two_row",
-    "xi",
-    "young_subgroup_elements",
-    "zeta",
-]
+__all__ = sorted(
+    name
+    for module in (characters, closed_form, core, eigsum, hahn, invariant_calculus, oracle)
+    for name in module.__all__
+)

@@ -60,12 +60,17 @@ def _fail(message: str, code: int):
     sys.exit(code)
 
 
+def _parse_triple(text: str, noun: str) -> list[int]:
+    """Three comma-separated integers; ValueError names the noun otherwise."""
+    parts = [int(x) for x in text.split(",")]
+    if len(parts) != 3:
+        raise ValueError(f"need three comma-separated {noun}, got {text!r}")
+    return parts
+
+
 def _parse_blocks(text: str) -> BlockTriple:
     try:
-        parts = [int(x) for x in text.split(",")]
-        if len(parts) != 3:
-            raise ValueError(f"need three comma-separated sizes, got {text!r}")
-        return BlockTriple(*parts)
+        return BlockTriple(*_parse_triple(text, "sizes"))
     except ValueError as exc:
         _fail(str(exc), 2)
 
@@ -199,10 +204,7 @@ def eigsum(n_text: str, k: int, d_text: str, kappa_text: str, p: int, diagnose: 
     except (ValueError, ZeroDivisionError):
         _fail(f"cannot parse rational {kappa_text!r}", 2)
     try:
-        parts = [int(x) for x in d_text.split(",")]
-        if len(parts) != 3:
-            raise ValueError(f"need three comma-separated degrees, got {d_text!r}")
-        degrees = DegreeTriple(*parts, kappa=kappa)
+        degrees = DegreeTriple(*_parse_triple(d_text, "degrees"), kappa=kappa)
         value = eigenvalue_sum(n, degrees, k, p)
         diagnostic = kappa_zero_diagnostic(n, degrees, k, p) if diagnose else None
     except ValueError as exc:

@@ -18,8 +18,6 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 __all__ = [
-    "Fraction",
-    "ZERO",
     "Partition",
     "BlockTriple",
     "Permutation",
@@ -31,10 +29,6 @@ __all__ = [
     "young_subgroup_elements",
     "embed_cycle",
     "partitions",
-    "check_k",
-    "check_sizes",
-    "pair_blocks",
-    "cycle_blocks",
 ]
 
 # The shared zero for lookups that default to it; a Fraction is immutable.

@@ -122,12 +122,13 @@ class CoeffTable:
     __slots__ = ("_n", "_k", "_entries")
 
     def __init__(self, n: BlockTriple, k: int, entries: Mapping[tuple[int, int], object]):
-        grid = set(admissible_grid(n, k))
-        bad = set(entries) - grid
+        grid = admissible_grid(n, k)
+        bad = set(entries).difference(grid)
         if bad:
             raise ValueError(f"labels {sorted(bad)} outside the grid for k = {k}")
         self._n = n
         self._k = k
+        # In grid order, which is sorted: labels(), items() and the hash read it as is.
         self._entries = {uv: Fraction(entries.get(uv, 0)) for uv in grid}
 
     @property
@@ -143,10 +144,10 @@ class CoeffTable:
         return self._entries.get((u, v), ZERO)
 
     def labels(self) -> list[tuple[int, int]]:
-        return sorted(self._entries)
+        return list(self._entries)
 
     def items(self) -> Iterable[tuple[tuple[int, int], Fraction]]:
-        return ((uv, self._entries[uv]) for uv in sorted(self._entries))
+        return self._entries.items()
 
     def is_zero(self) -> bool:
         return all(value == 0 for value in self._entries.values())
@@ -167,7 +168,7 @@ class CoeffTable:
         )
 
     def __hash__(self):
-        return hash((self._n, self._k, tuple(sorted(self._entries.items()))))
+        return hash((self._n, self._k, tuple(self._entries.items())))
 
     def __repr__(self) -> str:
         nonzero = {uv: str(x) for uv, x in self.items() if x != 0}

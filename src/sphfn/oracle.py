@@ -67,7 +67,12 @@ class OracleBoundExceeded(Exception):
     """Raised when a brute-force enumeration would exceed the configured bound."""
 
 
-Histogram = tuple[tuple[tuple[int, ...], int], ...]
+Histogram = tuple[tuple[Partition, int], ...]
+
+
+def _histogram(counts: Counter) -> Histogram:
+    """Cycle-type counts keyed by parts, as (Partition, count) pairs in parts order."""
+    return tuple((Partition(parts), count) for parts, count in sorted(counts.items()))
 
 
 def _enumerated_type_counts(sizes: tuple[int, ...], g_images: tuple[int, ...]) -> Histogram:
@@ -82,7 +87,7 @@ def _enumerated_type_counts(sizes: tuple[int, ...], g_images: tuple[int, ...]) -
     for parts in itertools.product(*blocks):
         h = Permutation(itertools.chain.from_iterable(parts))
         counts[cycle_type(compose(g, h)).parts] += 1
-    return tuple(sorted(counts.items()))
+    return _histogram(counts)
 
 
 def _class_type_counts(sizes: tuple[int, ...], marked: tuple[bool, ...]) -> Histogram:
@@ -118,7 +123,7 @@ def _class_type_counts(sizes: tuple[int, ...], marked: tuple[bool, ...]) -> Hist
     for (merged, rest), count in states.items():
         parts = rest + (merged,) if merged else rest
         counts[tuple(sorted(parts, reverse=True))] += count
-    return tuple(sorted(counts.items()))
+    return _histogram(counts)
 
 
 @functools.lru_cache(maxsize=None)
@@ -154,8 +159,8 @@ def _check_order(sizes: tuple[int, ...], bound: int) -> int:
 def _coset_average(shape: Partition, histogram: Histogram, order: int) -> Fraction:
     """The character of shape summed over a coset's cycle types, over its size."""
     total = 0
-    for mu_parts, count in histogram:
-        total += count * mn_character(shape, Partition(mu_parts))
+    for mu, count in histogram:
+        total += count * mn_character(shape, mu)
     return Fraction(total, order)
 
 

@@ -168,6 +168,17 @@ class TestCoeffTable:
         assert not table.is_zero()
         assert CoeffTable(n, 1, {}).is_zero()
 
+    def test_insertion_order_is_irrelevant(self):
+        n = BlockTriple(2, 3, 2)
+        grid = admissible_grid(n, 3)
+        values = {uv: Fraction(i + 1, 3) for i, uv in enumerate(grid)}
+        forward = CoeffTable(n, 3, values)
+        backward = CoeffTable(n, 3, dict(reversed(values.items())))
+        assert forward == backward
+        assert hash(forward) == hash(backward)
+        assert forward.labels() == backward.labels() == grid
+        assert list(backward.items()) == [(uv, values[uv]) for uv in grid]
+
 
 class TestPsiTable:
     def test_hand_values(self):

@@ -17,6 +17,7 @@ from sphfn.closed_form import (
 )
 from sphfn.core import (
     BlockTriple,
+    Partition,
     Permutation,
     binom,
     cycle_type,
@@ -28,6 +29,7 @@ from sphfn.invariant_calculus import check_difference_equation
 from sphfn.oracle import (
     OracleBoundExceeded,
     VkVector,
+    _class_type_counts,
     _coset_type_counts,
     _enumerated_type_counts,
     _two_factor_type_counts,
@@ -152,6 +154,20 @@ class TestClassCounting:
                     n1,
                     n2,
                 )
+
+    def test_histograms_hold_partitions(self):
+        """Every counting path keys its histogram by Partitions of N, in parts order."""
+        n = BlockTriple(2, 3, 2)
+        histograms = [(_two_factor_type_counts(2, 3), 5)]
+        for cycle in CYCLES:
+            marked = tuple(b in cycle for b in (1, 2, 3))
+            g = embed_cycle(cycle, n).images
+            histograms.append((_class_type_counts(n.sizes, marked), n.N))
+            histograms.append((_enumerated_type_counts(n.sizes, g), n.N))
+        for histogram, N in histograms:
+            assert all(isinstance(mu, Partition) and mu.weight == N for mu, _ in histogram)
+            keys = [mu.parts for mu, _ in histogram]
+            assert keys == sorted(set(keys))
 
 
 class TestTwoFactorOracle:
