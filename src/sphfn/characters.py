@@ -10,7 +10,7 @@ import functools
 import math
 from collections import Counter
 
-from .core import BlockTriple, Partition, binom, check_k
+from .core import BlockTriple, Partition, check_k
 
 __all__ = [
     "mn_character",
@@ -71,7 +71,8 @@ def two_row(N: int, k: int) -> Partition:
 def dim_two_row(N: int, k: int) -> int:
     """Dimension of the irreducible module of shape [N - k, k]."""
     check_k(N, k)
-    return binom(N, k) - binom(N, k - 1)
+    # C(N, k) - C(N, k - 1) = C(N, k) (N - 2k + 1) / (N - k + 1), exactly.
+    return math.comb(N, k) * (N - 2 * k + 1) // (N - k + 1)
 
 
 def centralizer_order(mu: Partition) -> int:

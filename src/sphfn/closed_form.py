@@ -60,8 +60,15 @@ def phi_2cycle(n: BlockTriple, k: int, pair: tuple[int, int] = (1, 2)) -> Fracti
 
     Equals the sum over the multiplicity range of the transposition
     eigenvalues ((m - na)(m - nb) - m) / (na nb); the sum telescopes into the
-    cubic-free polynomial below, kept over the integers as 6 times its
-    bracket so that one Fraction is built. Empty range gives 0.
+    cubic-free polynomial of _phi_2cycle_ratio. Empty range gives 0.
+    """
+    return Fraction(*_phi_2cycle_ratio(n, k, pair))
+
+
+def _phi_2cycle_ratio(n: BlockTriple, k: int, pair: tuple[int, int]) -> tuple[int, int]:
+    """phi_2cycle as an unreduced pair (num, den) with den > 0.
+
+    The telescoped bracket is kept over the integers as 6 times its value.
     """
     check_k(n.N, k)
     a, b, c = pair_blocks(pair)
@@ -69,14 +76,14 @@ def phi_2cycle(n: BlockTriple, k: int, pair: tuple[int, int] = (1, 2)) -> Fracti
     m_lower = max(0, k - nc)
     m_upper = min(na, nb, k, na + nb - k)
     if m_lower > m_upper:
-        return Fraction(0)
+        return 0, 1
     mu = m_upper - m_lower
     inner6 = (
         6 * (m_lower * m_lower + na * nb)
         - (6 * m_lower + 3 * mu) * (na + nb)
         + (6 * m_lower + 2 * mu) * (mu - 1)
     )
-    return Fraction((mu + 1) * inner6, 6 * na * nb)
+    return (mu + 1) * inner6, 6 * na * nb
 
 
 def zeta(n: BlockTriple, k: int, m: int) -> int:
@@ -96,14 +103,19 @@ def xi(n: BlockTriple, k: int, m: int) -> Fraction:
     m = n1 = n2; there the pole cancels against n1 n2 - m^2 and the reduced
     product applies. Any other zero denominator would mean a caller bug.
     """
+    return Fraction(*_xi_ratio(n, k, m))
+
+
+def _xi_ratio(n: BlockTriple, k: int, m: int) -> tuple[int, int]:
+    """xi as an unreduced pair (num, den); den > 0 whenever m <= min(n1, n2)."""
     n1, n2, n3 = n.sizes
     head = (m + 1) * (n3 - k + m + 1) * (k - m)
     if head == 0:
-        return Fraction(0)
+        return 0, 1
     if n1 + n2 - 2 * m != 0:
-        return Fraction(head * (n1 * n2 - m * m), n1 + n2 - 2 * m)
+        return head * (n1 * n2 - m * m), n1 + n2 - 2 * m
     if m == n1 == n2:
-        return Fraction(head * m)
+        return head * m, 1
     raise ValueError(f"xi undefined at m = {m} for n = {n.sizes}, k = {k}")
 
 
@@ -116,7 +128,12 @@ def g3_diagonal_coeff(n: BlockTriple, k: int, m: int) -> Fraction:
 
 
 def _phi_3cycle_redundant(n: BlockTriple, k: int) -> Fraction:
-    """Independent regrouping of the 3-cycle sum, kept as a cross-check."""
+    """Independent regrouping of the 3-cycle sum, kept as a cross-check.
+
+    All of the bracket but its last term, xi(m_U) / (mu + 1), is summed over
+    the integers as 6 times its value; with xi(m_U) = xn / xd, one Fraction
+    is built from the two.
+    """
     n1, n2, n3 = n.sizes
     N = n.N
     m_lower, m_upper = m_range(n, k)
@@ -124,17 +141,17 @@ def _phi_3cycle_redundant(n: BlockTriple, k: int) -> Fraction:
     delta = k - m_upper
     mu = m_upper - m_lower
     s2 = n1 * n2 + n1 * n3 + n2 * n3
-    bracket = (
-        Fraction(N * mu * (mu - 1), 6)
-        + Fraction(N * (mu * nu + mu * delta + 2 * nu * delta), 2)
-        - Fraction((mu + 2 * nu) * s2, 2)
-        + n1 * n2 * n3
-        + Fraction(mu * nu * (nu - 1), 2)
-        + (nu - delta) * (n1 * n2 + nu * delta)
-        - Fraction(mu * delta * (delta - 1), 2)
-        - xi(n, k, m_upper) / (mu + 1)
+    bracket6 = (
+        N * mu * (mu - 1)
+        + 3 * N * (mu * nu + mu * delta + 2 * nu * delta)
+        - 3 * (mu + 2 * nu) * s2
+        + 6 * n1 * n2 * n3
+        + 3 * mu * nu * (nu - 1)
+        + 6 * (nu - delta) * (n1 * n2 + nu * delta)
+        - 3 * mu * delta * (delta - 1)
     )
-    return Fraction(mu + 1, n1 * n2 * n3) * bracket
+    xn, xd = _xi_ratio(n, k, m_upper)
+    return Fraction((mu + 1) * bracket6 * xd - 6 * xn, 6 * n1 * n2 * n3 * xd)
 
 
 def _power_sums(lower: int, upper: int) -> tuple[int, int, int, int]:
@@ -156,29 +173,36 @@ def phi_3cycle(n: BlockTriple, k: int) -> Fraction:
     the top of the range. The zeta terms, a cubic in m, are summed in O(1)
     through the power sums of m over the range. The result is checked on
     every call against a second, differently grouped expression of the same
-    sum, which is most of the cost of a call.
+    sum; see _phi_3cycle_ratio.
+    """
+    return Fraction(*_phi_3cycle_ratio(n, k))
+
+
+def _phi_3cycle_ratio(n: BlockTriple, k: int) -> tuple[int, int]:
+    """phi_3cycle as an unreduced pair (num, den) with den > 0, self-checked.
+
+    The check compares with _phi_3cycle_redundant by cross-multiplication;
+    Fractions are built only to report a disagreement.
     """
     n1, n2, n3 = n.sizes
     N = n.N
     m_lower, m_upper = m_range(n, k)
     if m_lower > m_upper:
-        return Fraction(0)
+        return 0, 1
     # zeta(m) = -2 m^3 + (3k - N) m^2 + c1 m + c0
     c1 = n3 * n3 - k * k - (n3 - k) * N + n1 * n2
     c0 = (n3 - k) * n1 * n2
     s0, s1, s2, s3 = _power_sums(m_lower, m_upper)
     total = -2 * s3 + (3 * k - N) * s2 + c1 * s1 + c0 * s0
-    top = xi(n, k, m_upper)
-    value = Fraction(
-        total * top.denominator - top.numerator, n1 * n2 * n3 * top.denominator
-    )
+    xn, xd = _xi_ratio(n, k, m_upper)
+    num, den = total * xd - xn, n1 * n2 * n3 * xd
     redundant = _phi_3cycle_redundant(n, k)
-    if value != redundant:
+    if num * redundant.denominator != redundant.numerator * den:
         raise AssertionError(
             f"3-cycle regroupings disagree for n = {n.sizes}, k = {k}: "
-            f"{value} vs {redundant}"
+            f"{Fraction(num, den)} vs {redundant}"
         )
-    return value
+    return num, den
 
 
 def phi_special(n: BlockTriple, k: int, cycle: tuple[int, ...] = (1, 2, 3)) -> Optional[Fraction]:

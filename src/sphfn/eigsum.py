@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .characters import dim_two_row, multiplicity
-from .closed_form import SphericalQuery, phi_2cycle, phi_3cycle, phi_closed_form, phi_identity
+from .closed_form import SphericalQuery, _phi_2cycle_ratio, _phi_3cycle_ratio, phi_closed_form
 from .core import BlockTriple, check_k, complete_homogeneous
 
 __all__ = [
@@ -93,37 +93,38 @@ def eigenvalue_sum(n: BlockTriple, d: DegreeTriple, k: int, p: int) -> Fraction:
     integers a_i, and h_{p+1-l} is homogeneous, so every term is an integer
     over the common denominator q^p:
     (-kappa)^(l-1) h_{p+1-l}(dt_A) = (-P)^(l-1) h_{p+1-l}(a_A) / q^p.
-    The terms are summed as integers over the Phi denominators and one
-    Fraction is built at the end. Each Phi comes straight from phi_identity,
-    phi_2cycle or phi_3cycle; eigenvalue_sum_recheck takes the other route,
-    through SphericalQuery and phi_closed_form.
+    The seven small terms c_A = (-P)^(|A|-1) h_{p+1-|A|}(a_A) Phi_A are put
+    over one common denominator of the Phi values (c_123 = 0 when p = 1) and
+    combined with the factorials f_i = n_i! in Horner form,
+    f1 (c1 + f2 (c12 + f3 c123) + f3 c13) + f2 (c2 + f3 c23) + f3 c3,
+    so that one Fraction is built at the end. Each Phi comes from the
+    integer kernels behind phi_identity, phi_2cycle and phi_3cycle, which
+    keep the 3-cycle self-check; eigenvalue_sum_recheck takes the other
+    route, through SphericalQuery and phi_closed_form.
     """
     if p < 1:
         raise ValueError(f"need p >= 1, got {p}")
     check_k(n.N, k)
     P, q = d.kappa.numerator, d.kappa.denominator
-    scaled = (q * d.d1 + P * (n.n2 + n.n3), q * d.d2 + P * n.n3, q * d.d3)
-    factorials = [math.factorial(size) for size in n.sizes]
-    numerator, denominator = 0, 1
-    for size in range(1, min(p + 1, 3) + 1):
-        weight = (-P) ** (size - 1)
-        for A in itertools.combinations((1, 2, 3), size):
-            if size == 1:
-                phi = phi_identity(n, k)
-            elif size == 2:
-                phi = phi_2cycle(n, k, A)
-            else:
-                phi = phi_3cycle(n, k)
-            if phi == 0:
-                continue
-            h = complete_homogeneous([scaled[a - 1] for a in A], p + 1 - size)
-            term = weight * h * math.prod(factorials[a - 1] for a in A)
-            common = math.lcm(denominator, phi.denominator)
-            numerator = numerator * (common // denominator) + phi.numerator * term * (
-                common // phi.denominator
-            )
-            denominator = common
-    return Fraction(dim_two_row(n.N, k) * numerator, denominator * q**p)
+    a1, a2, a3 = q * d.d1 + P * (n.n2 + n.n3), q * d.d2 + P * n.n3, q * d.d3
+    f1, f2, f3 = (math.factorial(size) for size in n.sizes)
+    phi1 = multiplicity(n, k)
+    n12, d12 = _phi_2cycle_ratio(n, k, (1, 2))
+    n13, d13 = _phi_2cycle_ratio(n, k, (1, 3))
+    n23, d23 = _phi_2cycle_ratio(n, k, (2, 3))
+    if p >= 2:
+        n123, d123 = _phi_3cycle_ratio(n, k)
+        h123 = complete_homogeneous((a1, a2, a3), p - 2)
+    else:  # no 3-cycle term
+        n123, d123, h123 = 0, 1, 0
+    common = math.lcm(d12, d13, d23, d123)
+    c1, c2, c3 = (common * phi1 * a**p for a in (a1, a2, a3))
+    c12 = -P * complete_homogeneous((a1, a2), p - 1) * n12 * (common // d12)
+    c13 = -P * complete_homogeneous((a1, a3), p - 1) * n13 * (common // d13)
+    c23 = -P * complete_homogeneous((a2, a3), p - 1) * n23 * (common // d23)
+    c123 = P * P * h123 * n123 * (common // d123)
+    total = f1 * (c1 + f2 * (c12 + f3 * c123) + f3 * c13) + f2 * (c2 + f3 * c23) + f3 * c3
+    return Fraction(dim_two_row(n.N, k) * total, common * q**p)
 
 
 def _h_by_enumeration(values, degree: int) -> Fraction:

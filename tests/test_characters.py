@@ -14,7 +14,7 @@ from sphfn.characters import (
     multiplicity,
     two_row,
 )
-from sphfn.core import BlockTriple, Partition, cycle_type, partitions, young_subgroup_elements
+from sphfn.core import BlockTriple, Partition, binom, cycle_type, partitions, young_subgroup_elements
 
 
 @st.composite
@@ -98,6 +98,12 @@ class TestTwoRow:
         assert dim_two_row(3, 1) == 2
         with pytest.raises(ValueError):
             dim_two_row(5, 3)
+
+    def test_dimension_is_a_difference_of_binomials(self):
+        """The one-binomial form against C(N, k) - C(N, k - 1), for N <= 400."""
+        for N in range(401):
+            for k in range(N // 2 + 1):
+                assert dim_two_row(N, k) == binom(N, k) - binom(N, k - 1), (N, k)
 
     @pytest.mark.parametrize("N", range(1, 9))
     def test_dimension_is_character_at_identity(self, N):

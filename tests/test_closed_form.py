@@ -5,9 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sphfn.closed_form
 from sphfn.characters import m_range, multiplicity
 from sphfn.closed_form import (
     SphericalQuery,
+    _phi_2cycle_ratio,
+    _phi_3cycle_ratio,
+    _phi_3cycle_redundant,
+    _xi_ratio,
     g3_diagonal_coeff,
     phi_2cycle,
     phi_2cycle_two_factor,
@@ -19,6 +24,7 @@ from sphfn.closed_form import (
     zeta,
 )
 from sphfn.core import BlockTriple, compose, embed_cycle, young_subgroup_elements
+from sphfn.eigsum import DegreeTriple, eigenvalue_sum, eigenvalue_sum_recheck
 from sphfn.invariant_calculus import g2_eigenvalue
 
 CYCLES = [(1,), (1, 2), (1, 3), (2, 3), (1, 2, 3)]
@@ -238,6 +244,70 @@ class TestThreeCycle:
         value = phi_3cycle(n, k)
         for perm in itertools.permutations(n.sizes):
             assert phi_3cycle(BlockTriple(*perm), k) == value, perm
+
+
+class TestIntegerKernels:
+    def test_redundant_regrouping_agrees_to_block_eight(self):
+        for n in small_triples(8):
+            for k in range(n.N // 2 + 1):
+                m_lower, m_upper = m_range(n, k)
+                if m_lower <= m_upper:
+                    assert _phi_3cycle_redundant(n, k) == phi_3cycle(n, k), (n, k)
+
+    @staticmethod
+    def check_ratios(n, k):
+        num, den = _phi_3cycle_ratio(n, k)
+        assert den > 0 and Fraction(num, den) == phi_3cycle(n, k), (n, k)
+        for pair in PAIRS:
+            num, den = _phi_2cycle_ratio(n, k, pair)
+            assert den > 0 and Fraction(num, den) == phi_2cycle(n, k, pair), (n, k, pair)
+
+    def test_ratios_give_the_public_values(self):
+        for n in small_triples(5):
+            for k in range(n.N // 2 + 1):
+                self.check_ratios(n, k)
+
+    @given(triple_and_k())
+    def test_ratios_give_the_public_values_at_real_sizes(self, query):
+        self.check_ratios(*query)
+
+    def test_xi_ratio_denominator_is_positive_up_to_the_range_top(self):
+        for n in small_triples(4):
+            for k in range(n.N // 2 + 1):
+                m_lower, m_upper = m_range(n, k)
+                for m in range(m_lower - 1, m_upper + 1):
+                    assert _xi_ratio(n, k, m)[1] > 0, (n, k, m)
+
+
+class TestSelfCheckRuns:
+    """The 3-cycle self-check fails on the smallest possible disagreement."""
+
+    @pytest.fixture
+    def off_by_one_step(self, monkeypatch):
+        original = _phi_3cycle_redundant
+
+        def shifted(n, k):
+            n1, n2, n3 = n.sizes
+            _, xd = _xi_ratio(n, k, m_range(n, k)[1])
+            return original(n, k) + Fraction(1, 6 * n1 * n2 * n3 * xd)
+
+        monkeypatch.setattr(sphfn.closed_form, "_phi_3cycle_redundant", shifted)
+
+    @pytest.mark.parametrize("sizes,k", [((2, 2, 2), 1), ((3, 1, 2), 2), ((7, 5, 4), 5)])
+    def test_phi_3cycle_raises(self, off_by_one_step, sizes, k):
+        with pytest.raises(AssertionError, match="^3-cycle regroupings disagree"):
+            phi_3cycle(BlockTriple(*sizes), k)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_eigenvalue_sum_raises_from_order_two(self, off_by_one_step, p):
+        d = DegreeTriple(3, 1, 0, Fraction(-1, 2))
+        with pytest.raises(AssertionError, match="^3-cycle regroupings disagree"):
+            eigenvalue_sum(BlockTriple(3, 1, 2), d, 2, p)
+
+    def test_eigenvalue_sum_skips_the_3_cycle_at_order_one(self, off_by_one_step):
+        """At p = 1 the expansion has no 3-cycle term, so nothing is checked."""
+        n, d = BlockTriple(3, 1, 2), DegreeTriple(3, 1, 0, Fraction(-1, 2))
+        assert eigenvalue_sum(n, d, 2, 1) == eigenvalue_sum_recheck(n, d, 2, 1)
 
 
 class TestSpecialValues:

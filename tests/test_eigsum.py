@@ -133,15 +133,41 @@ class TestEigenvalueSum:
                     assert eigenvalue_sum(n, d, k, p) == expected, (n, k, p)
 
     def test_two_paths_agree(self):
-        for n in small_triples(2):
+        """Every block triple up to 3, every k (empty multiplicity ranges
+        included), p = 1 (no 3-cycle term) to 4 and six couplings."""
+        for n in small_triples(3):
             for k in range(n.N // 2 + 1):
-                for kappa in (Fraction(1), Fraction(-1, 2)):
+                for kappa in (0, 1, -1, Fraction(-1, 2), Fraction(2, 3), -3):
                     for degrees in ((2, 1, 0), (4, 2, 1)):
                         d = DegreeTriple(*degrees, kappa)
-                        for p in (1, 2, 3):
+                        for p in range(1, 5):
                             assert eigenvalue_sum(n, d, k, p) == (
                                 eigenvalue_sum_recheck(n, d, k, p)
                             ), (n, k, kappa, degrees, p)
+
+    @pytest.mark.parametrize(
+        "sizes,degrees,kappa,equal",
+        [
+            ((1, 1, 1), (3, 2, 0), -1, (1, 2)),
+            ((1, 2, 1), (3, 2, 0), -1, (1, 3)),
+            ((2, 1, 1), (5, 2, 1), -1, (2, 3)),
+            ((1, 1, 1), (5, 3, 1), -2, (1, 2, 3)),
+        ],
+    )
+    def test_two_paths_agree_at_coinciding_shifted_degrees(self, sizes, degrees, kappa, equal):
+        n, d = BlockTriple(*sizes), DegreeTriple(*degrees, kappa)
+        sd = shifted_degrees(d, n)
+        assert len(set(sd.select(equal))) == 1, tuple(sd)
+        for k in range(n.N // 2 + 1):
+            for p in range(1, 7):
+                assert eigenvalue_sum(n, d, k, p) == eigenvalue_sum_recheck(n, d, k, p), (k, p)
+
+    def test_empty_multiplicity_range_gives_zero(self):
+        n = BlockTriple(1, 1, 4)
+        assert multiplicity(n, 3) == 0
+        for p in range(1, 5):
+            d = DegreeTriple(3, 2, 0, Fraction(2, 3))
+            assert eigenvalue_sum(n, d, 3, p) == 0 == eigenvalue_sum_recheck(n, d, 3, p)
 
     @given(st.data())
     def test_two_paths_agree_at_real_sizes(self, data):

@@ -1,4 +1,9 @@
-"""The package's public names, and the README's library example."""
+"""The package's public names, the README's library example, and the names
+the traced benchmark run wraps."""
+import importlib
+import importlib.util
+import json
+import math
 import pathlib
 import re
 from fractions import Fraction
@@ -7,7 +12,10 @@ import sphfn
 from sphfn import characters, closed_form, core, eigsum, hahn, invariant_calculus, oracle
 
 MODULES = (characters, closed_form, core, eigsum, hahn, invariant_calculus, oracle)
-README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+SPANS = ROOT / "perfbench" / "spans.py"
+BENCHMARK = ROOT / "BENCHMARK.json"
 
 
 class TestExports:
@@ -40,3 +48,52 @@ def test_readme_library_example_runs():
     namespace = {}
     exec(compile(example, str(README), "exec"), namespace)
     assert namespace["value"] == Fraction(-1, 4)
+
+
+class TestBenchmarkSpans:
+    """Every name perfbench/spans.py wraps or reads exists in the package.
+
+    A missing one is not an error there: its per-layer metrics are reported
+    absent, which leaves the traced benchmark result incomplete.
+    """
+
+    @staticmethod
+    def spans():
+        spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_wrapped_functions_resolve(self):
+        spans = self.spans()
+        names = [name for name in (*spans.TIMED, *spans.COUNTED) if name != spans.CLI_SPAN]
+        assert names
+        for name in names:
+            module_name, fn_name = name.split(".")
+            module = importlib.import_module(f"sphfn.{module_name}")
+            assert callable(getattr(module, fn_name, None)), name
+
+    def test_caches_have_cache_info(self):
+        spans = self.spans()
+        assert spans.CACHES
+        for name, ((module_name, fn_name), _) in spans.CACHES.items():
+            module = importlib.import_module(f"sphfn.{module_name}")
+            assert hasattr(getattr(module, fn_name, None), "cache_info"), name
+
+    def test_traced_call_reports_every_declared_metric(self):
+        """A tracer installed around one trace sum yields every per-layer
+        metric BENCHMARK.json declares (trace.overhead_frac comes from the
+        runner), all finite, none absent."""
+        tracer = self.spans().Tracer()
+        tracer.install()
+        try:
+            n, d = core.BlockTriple(3, 2, 2), eigsum.DegreeTriple(4, 2, 1, Fraction(-1, 2))
+            value = eigsum.eigenvalue_sum(n, d, 2, 3)
+        finally:
+            tracer.uninstall()
+        assert value == eigsum.eigenvalue_sum_recheck(n, d, 2, 3)
+        metrics, absent, _ = tracer.layer_metrics()
+        assert absent == []
+        assert all(math.isfinite(number) for number, _ in metrics.values())
+        declared = {metric["name"] for metric in json.loads(BENCHMARK.read_text())["per_layer"]}
+        assert declared - set(metrics) == {"trace.overhead_frac"}
