@@ -23,7 +23,6 @@ __all__ = [
     "DegreeTriple",
     "ShiftedDegrees",
     "shifted_degrees",
-    "h_subset",
     "eigenvalue_sum",
     "eigenvalue_sum_recheck",
     "KappaZeroDiagnostic",
@@ -73,13 +72,6 @@ def shifted_degrees(d: DegreeTriple, n: BlockTriple) -> ShiftedDegrees:
         d.d2 + d.kappa * n.n3,
         Fraction(d.d3),
     )
-
-
-def h_subset(sd: ShiftedDegrees, A: tuple[int, ...], m: int) -> Fraction:
-    """Complete homogeneous polynomial of degree m in the degrees selected by A."""
-    if not A:
-        raise ValueError("subset A must be nonempty")
-    return Fraction(complete_homogeneous(sd.select(A), m))
 
 
 def eigenvalue_sum(n: BlockTriple, d: DegreeTriple, k: int, p: int) -> Fraction:

@@ -15,11 +15,15 @@ Both refuse to run past a size bound: the subgroup order n1! n2! n3! for the
 character oracle, C(N, k) for the module oracle. They exist to be right, not
 fast.
 
-The invariant basis of each (n, k) is solved once and kept in a bounded
-cache (the 512 most recent), so the five cycles of one (n, k) and
-invariants_in_Vk share one nullspace. Sharing skips no check: every call
-still checks each basis table and each projected image for divergence, and
-every VkVector handed out checks its own.
+Two bounded caches (the 512 most recent (n, k) each) hold what does not
+depend on the permutation: the invariant basis, one nullspace shared by the
+five cycles of one (n, k) and invariants_in_Vk, and the module oracle's
+orbit frame, its labels, orbit sizes and distinct divergence rows. A call
+of the module oracle then counts how g moves subsets between orbits and
+reads the trace off the reduced basis, with no linear solve. Caching skips
+no check: every call still checks each basis table and each projected image
+for divergence and for lying in the basis's span, and every VkVector handed
+out checks its own.
 """
 from __future__ import annotations
 
@@ -27,9 +31,10 @@ import bisect
 import functools
 import itertools
 import math
-from collections import Counter
+import operator
+from collections import Counter, defaultdict
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from . import linalg
 from .characters import centralizer_order, mn_character, two_row
@@ -234,11 +239,12 @@ class VkVector:
             raise ValueError("coordinates violate the divergence condition")
 
     def _divergence_free(self) -> bool:
+        if self._k == 0:
+            return True
         values, _ = linalg.over_common_denominator(self._coords.values())
         sums: dict[tuple[int, ...], int] = {}
         for subset, x in zip(self._coords, values):
-            for i in range(len(subset)):
-                smaller = subset[:i] + subset[i + 1:]
+            for smaller in itertools.combinations(subset, self._k - 1):
                 sums[smaller] = sums.get(smaller, 0) + x
         return not any(sums.values())
 
@@ -381,6 +387,55 @@ def _invariant_tables(n: BlockTriple, k: int) -> tuple[CoeffTable, ...]:
     )
 
 
+def _label_codes(n: BlockTriple, k: int) -> list[int]:
+    """Each point's share of the code u + v (k + 1) of a k-subset's label (u, v).
+
+    A point adds 1 in block 1, k + 1 in block 2 and 0 in block 3, so the sum
+    over a subset's points codes its label, and distinct labels get distinct
+    codes because u, v <= k.
+    """
+    return [1] * n.n1 + [k + 1] * n.n2 + [0] * n.n3
+
+
+class _OrbitFrame(NamedTuple):
+    """Everything phi_module_oracle needs of (n, k) that does not depend on g."""
+
+    labels: tuple[tuple[int, int], ...]
+    index: dict[int, int]  # label code -> position in labels
+    sizes: tuple[int, ...]  # orbit size per label, counted
+    common: int  # lcm of the orbit sizes
+    divergence: tuple[tuple[int, ...], ...]  # distinct divergence rows
+
+
+@functools.lru_cache(maxsize=512)
+def _orbit_frame(n: BlockTriple, k: int) -> _OrbitFrame:
+    """The orbit labels, sizes and divergence rows of (n, k), cached beside the basis.
+
+    One pass over the C(N, k) subsets counts each orbit and, for every
+    (k-1)-subset S, the labels of the subsets that contain S; the divergence
+    of an orbit-constant vector at S is the sum of its values over those
+    labels, so each distinct row of counts is one check. Only the distinct
+    rows are kept, not one entry per subset.
+    """
+    labels = tuple(admissible_grid(n, k))
+    base = k + 1
+    index = {u + v * base: a for a, (u, v) in enumerate(labels)}
+    if k == 0:
+        return _OrbitFrame(labels, index, (1,), 1, ())
+    sizes = [0] * len(labels)
+    faces: defaultdict[tuple[int, ...], list[int]] = defaultdict(lambda: [0] * len(labels))
+    for subset, code in zip(
+        itertools.combinations(range(1, n.N + 1), k),
+        map(sum, itertools.combinations(_label_codes(n, k), k)),
+    ):
+        a = index[code]
+        sizes[a] += 1
+        for face in itertools.combinations(subset, k - 1):
+            faces[face][a] += 1
+    divergence = tuple(sorted({tuple(row) for row in faces.values()}))
+    return _OrbitFrame(labels, index, tuple(sizes), math.lcm(*sizes), divergence)
+
+
 def invariants_in_Vk(n: BlockTriple, k: int, bound: int = DEFAULT_BOUND) -> list[VkVector]:
     """Basis of the subgroup-invariant divergence-free vectors.
 
@@ -437,18 +492,25 @@ def phi_module_oracle(
     A basis table T is the vector x_E = T(label of E). Translating it by g
     and averaging over each orbit O_b gives the table
     P(b) = sum over a of C[b][a] T(a) / |O_b|, where C[b][a] counts the
-    subsets E with label a whose image g(E) has label b. One pass over the
-    C(N, k) subsets counts C, the orbit sizes, and for every (k-1)-subset S
-    the labels of the subsets that contain S; the divergence of an
-    orbit-constant vector at S is the sum of its values over those labels.
+    subsets E with label a whose image g(E) has label b. The orbit frame of
+    (n, k) is cached; each call makes one pass over the C(N, k) subsets to
+    count C, the only part that depends on g.
 
     No vector is built, so the checks VkVector would make run here, in
-    integers: each basis table and each projected table must be divergence
-    free at every (k-1)-subset, or ValueError is raised. The translated
-    vector is not checked on its own: the divergence commutes with
-    permutations, so it is divergence free exactly when the basis vector is.
-    The projected table is constant on orbits by construction, and solve
-    raises if it leaves the span of the basis.
+    integers, on every call: each basis table and each projected table must
+    be divergence free at every (k-1)-subset, or ValueError is raised. The
+    translated vector is not checked on its own: the divergence commutes
+    with permutations, so it is divergence free exactly when the basis
+    vector is.
+
+    The coordinates of a projected table are read off, not solved for. Over
+    one integer scale S, the basis from linalg.nullspace is S at each
+    table's free label, its last nonzero one, and 0 at the other tables'
+    free labels; that identity block is checked, or ValueError is raised.
+    Coordinate j of a projected table is then its value at free label j,
+    and the table must equal the combination those coordinates give at
+    every label, checked exactly in integers, or ValueError is raised as an
+    inconsistent linear system. The trace sums coordinate i of image i.
     """
     _check_permutation(g, n)
     check_k(n.N, k)
@@ -456,35 +518,53 @@ def phi_module_oracle(
     basis_tables = _invariant_tables(n, k)
     if not basis_tables:
         return Fraction(0)
-    labels = admissible_grid(n, k)
-    label_index = {uv: a for a, uv in enumerate(labels)}
-    point_blocks = _point_blocks(n)
-    image_blocks = [point_blocks[g(i) - 1] for i in range(1, n.N + 1)]
-    counts = [[0] * len(labels) for _ in labels]
-    sizes = [0] * len(labels)
-    faces: dict[tuple[int, ...], list[int]] = {}
-    for subset, uv in _labelled_subsets(n, k):
-        a = label_index[uv]
-        sizes[a] += 1
-        moved = [image_blocks[i - 1] for i in subset]
-        counts[label_index[moved.count(1), moved.count(2)]][a] += 1
-        for i in range(k):
-            faces.setdefault(subset[:i] + subset[i + 1:], [0] * len(labels))[a] += 1
-    divergence = {tuple(row) for row in faces.values()}
+    frame = _orbit_frame(n, k)
+    labels = frame.labels
 
     def check(values: list[int], what: str) -> None:
-        if any(sum(d * x for d, x in zip(row, values)) for row in divergence):
+        if any(sum(map(operator.mul, row, values)) for row in frame.divergence):
             raise ValueError(f"{what} violates the divergence condition")
 
-    common_size = math.lcm(*sizes)
-    matrix = [[table.get(u, v) for table in basis_tables] for u, v in labels]
-    trace = Fraction(0)
-    for i, table in enumerate(basis_tables):
-        values, scale = linalg.over_common_denominator(table.get(u, v) for u, v in labels)
+    # Table i is basis[i] / scale, in label order.
+    flat, scale = linalg.over_common_denominator(
+        table.get(u, v) for table in basis_tables for u, v in labels
+    )
+    basis = [flat[i : i + len(labels)] for i in range(0, len(flat), len(labels))]
+    for i, values in enumerate(basis):
         check(values, f"invariant vector {i}")
-        image = [sum(c * x for c, x in zip(row, values)) for row in counts]
-        check([y * (common_size // size) for y, size in zip(image, sizes)], f"projected image {i}")
-        rhs = [Fraction(y, scale * size) for y, size in zip(image, sizes)]
-        coords = linalg.solve(matrix, rhs)
-        trace += coords[i]
-    return trace
+    free = [max((a for a, x in enumerate(values) if x), default=0) for values in basis]
+    if any(
+        values[f] != (scale if i == j else 0)
+        for i, values in enumerate(basis)
+        for j, f in enumerate(free)
+    ):
+        raise ValueError("invariant basis is not reduced at its free labels")
+
+    # One pass over the subsets counts C. A subset E sums to the code of
+    # the pair (label of E, label of g(E)): the first label code times
+    # base2 plus the second, both codes being below base2.
+    codes = _label_codes(n, k)
+    base2 = (k + 1) ** 2
+    moved = [code * base2 + codes[g(i) - 1] for i, code in enumerate(codes, 1)]
+    counts = [[0] * len(labels) for _ in labels]
+    for code, count in Counter(map(sum, itertools.combinations(moved, k))).items():
+        a, b = divmod(code, base2)
+        counts[frame.index[b]][frame.index[a]] = count
+
+    columns = list(zip(*basis))
+    trace = 0
+    for i, values in enumerate(basis):
+        # The projected table i, times scale * frame.common.
+        image = [
+            sum(map(operator.mul, row, values)) * (frame.common // size)
+            for row, size in zip(counts, frame.sizes)
+        ]
+        check(image, f"projected image {i}")
+        coords = [image[f] for f in free]
+        if any(
+            y * scale != sum(map(operator.mul, coords, column))
+            for y, column in zip(image, columns)
+        ):
+            raise ValueError(f"projected image {i}: inconsistent linear system")
+        trace += image[free[i]]
+    return Fraction(trace, scale * frame.common)

@@ -7,13 +7,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sphfn.characters import dim_two_row, multiplicity
-from sphfn.core import BlockTriple
+from sphfn.core import BlockTriple, complete_homogeneous
 from sphfn.eigsum import (
     DegreeTriple,
     ShiftedDegrees,
     eigenvalue_sum,
     eigenvalue_sum_recheck,
-    h_subset,
     kappa_zero_diagnostic,
     shifted_degrees,
 )
@@ -72,16 +71,16 @@ class TestHSubset:
     def test_degree_zero_is_one(self):
         sd = ShiftedDegrees(Fraction(4), Fraction(2), Fraction(1))
         for A in [(1,), (2, 3), (1, 2, 3)]:
-            assert h_subset(sd, A, 0) == 1
+            assert complete_homogeneous(sd.select(A), 0) == 1
 
     def test_single_block_powers(self):
         sd = ShiftedDegrees(Fraction(4), Fraction(3, 2), Fraction(1))
-        assert h_subset(sd, (2,), 3) == Fraction(27, 8)
+        assert complete_homogeneous(sd.select((2,)), 3) == Fraction(27, 8)
 
     def test_pair_examples(self):
         sd = ShiftedDegrees(Fraction(4), Fraction(2), Fraction(1))
-        assert h_subset(sd, (1, 2), 1) == 6
-        assert h_subset(sd, (1, 2), 2) == 16 + 8 + 4
+        assert complete_homogeneous(sd.select((1, 2)), 1) == 6
+        assert complete_homogeneous(sd.select((1, 2)), 2) == 16 + 8 + 4
 
     def test_matches_monomial_enumeration(self):
         sd = ShiftedDegrees(Fraction(4), Fraction(3, 2), Fraction(-1))
@@ -95,12 +94,7 @@ class TestHSubset:
                     ),
                     Fraction(0),
                 )
-                assert h_subset(sd, A, m) == expected, (A, m)
-
-    def test_empty_subset_rejected(self):
-        sd = ShiftedDegrees(Fraction(4), Fraction(2), Fraction(1))
-        with pytest.raises(ValueError):
-            h_subset(sd, (), 2)
+                assert complete_homogeneous(sd.select(A), m) == expected, (A, m)
 
 
 class TestEigenvalueSum:

@@ -389,15 +389,45 @@ class TestModuleOracle:
         with pytest.raises(ValueError, match="coordinates violate the divergence"):
             invariants_in_Vk(n, 1)
 
+    def test_span_check_refuses_a_basis_that_misses_an_image(self, monkeypatch):
+        """With one of the two invariant tables at (1,1,1), k = 1, the moving
+        cycles project the kept table out of its span."""
+        n = BlockTriple(1, 1, 1)
+        first = oracle._invariant_tables(n, 1)[:1]
+        monkeypatch.setattr(oracle, "_invariant_tables", lambda n, k: first)
+        for cycle in [(1, 2), (1, 2, 3)]:
+            with pytest.raises(ValueError, match="inconsistent"):
+                phi_module_oracle(n, 1, embed_cycle(cycle, n))
+
+    def test_refuses_a_basis_not_reduced_at_its_free_labels(self, monkeypatch):
+        """The trace is read off the reduced basis nullspace returns; a
+        rescaled basis spans the same space but is refused, not solved."""
+        n = BlockTriple(2, 2, 2)
+        doubled = tuple(table.scaled(2) for table in oracle._invariant_tables(n, 2))
+        monkeypatch.setattr(oracle, "_invariant_tables", lambda n, k: doubled)
+        with pytest.raises(ValueError, match="not reduced"):
+            phi_module_oracle(n, 2, embed_cycle((1, 2), n))
+
+    def test_random_permutations(self):
+        """Seeded shuffles, mostly not cycles, against the character oracle."""
+        rng = random.Random(20261019)
+        for _ in range(150):
+            n = BlockTriple(*(rng.randint(1, 3) for _ in range(3)))
+            k = rng.randint(0, n.N // 2)
+            g = Permutation(tuple(rng.sample(range(1, n.N + 1), n.N)))
+            assert phi_module_oracle(n, k, g) == phi_character_oracle(n, k, g), (n, k, g)
+
     def test_basis_cache_is_bounded(self):
         n = BlockTriple(2, 1, 1)
         assert isinstance(oracle._invariant_tables(n, 1), tuple)
         assert isinstance(oracle._invariant_tables(n, 0), tuple)
         assert oracle._invariant_tables.cache_info().maxsize is not None
+        assert oracle._orbit_frame(n, 1).labels == ((0, 0), (0, 1), (1, 0))
+        assert oracle._orbit_frame.cache_info().maxsize is not None
 
     def test_values_do_not_depend_on_the_basis_cache(self, monkeypatch):
         """Cleared, warm and overfilled (evicting) caches give the same values."""
-        tables = oracle._invariant_tables
+        caches = {"_invariant_tables": oracle._invariant_tables, "_orbit_frame": oracle._orbit_frame}
         pairs = [(n, k) for n in small_triples(3) for k in range(n.N // 2 + 1)]
         assert any(k == 0 for _, k in pairs)
 
@@ -407,25 +437,30 @@ class TestModuleOracle:
         cleared = {}
         for n, k in pairs:
             for cycle in CYCLES:
-                tables.cache_clear()
+                for cache in caches.values():
+                    cache.cache_clear()
                 cleared[n, k, cycle] = value(n, k, cycle)
         warm = {case: value(*case) for case in cleared}
-        assert tables.cache_info().hits >= len(cleared) - len(pairs)
+        for cache in caches.values():
+            assert cache.cache_info().hits >= len(cleared) - len(pairs)
         assert warm == cleared
 
-        # The same body behind a one-entry cache, swept cycle-major: each
+        # The same bodies behind one-entry caches, swept cycle-major: each
         # call names a different (n, k) than the last, so every lookup
         # misses and evicts.
-        evicting = functools.lru_cache(maxsize=1)(tables.__wrapped__)
-        monkeypatch.setattr(oracle, "_invariant_tables", evicting)
+        evicting = {}
+        for name, cache in caches.items():
+            evicting[name] = functools.lru_cache(maxsize=1)(cache.__wrapped__)
+            monkeypatch.setattr(oracle, name, evicting[name])
         overfilled = {}
         for cycle in CYCLES:
             for n, k in pairs:
                 overfilled[n, k, cycle] = value(n, k, cycle)
-        info = evicting.cache_info()
-        assert info.currsize == info.maxsize
-        assert info.hits == 0
-        assert info.misses == len(cleared)
+        for cache in evicting.values():
+            info = cache.cache_info()
+            assert info.currsize == info.maxsize
+            assert info.hits == 0
+            assert info.misses == len(cleared)
         assert overfilled == cleared
 
     def test_bound_refusal(self):
