@@ -53,12 +53,16 @@ def _mn(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
     return total
 
 
-def mn_character(lam: Partition, mu: Partition) -> int:
-    """Irreducible character value chi^lam at cycle type mu."""
+def _check_weights(lam: Partition, mu: Partition) -> None:
     if lam.weight != mu.weight:
         raise ValueError(
             f"weights differ: |lam| = {lam.weight}, |mu| = {mu.weight}"
         )
+
+
+def mn_character(lam: Partition, mu: Partition) -> int:
+    """Irreducible character value chi^lam at cycle type mu."""
+    _check_weights(lam, mu)
     return _mn(lam.parts, mu.parts)
 
 

@@ -6,7 +6,11 @@ Two oracles, independent of each other and of the Hahn machinery:
   coset. When the coset's representative is the identity or one cycle with at
   most one moved point per block, it counts the coset's cycle types class by
   class, block by block; for any other representative it enumerates the
-  coset, straight from the definition;
+  coset, straight from the definition. A class count depends only on the
+  multiset of (block size, marked) pairs, so one unbounded cache holds one
+  histogram per multiset, keyed by the sorted pairs. Each histogram checks
+  once that its cycle types share one weight, and each average checks the
+  shape against it once;
 * the module oracle realizes the irreducible module inside the space spanned
   by squarefree degree-k monomials, cut out by the vanishing of the divergence,
   and takes the trace of project-then-translate on its invariant vectors.
@@ -37,7 +41,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
 from . import linalg
-from .characters import centralizer_order, mn_character, two_row
+from .characters import _check_weights, _mn, centralizer_order, two_row
 from .core import (
     ZERO,
     BlockTriple,
@@ -76,8 +80,12 @@ Histogram = tuple[tuple[Partition, int], ...]
 
 
 def _histogram(counts: Counter) -> Histogram:
-    """Cycle-type counts keyed by parts, as (Partition, count) pairs in parts order."""
-    return tuple((Partition(parts), count) for parts, count in sorted(counts.items()))
+    """Cycle-type counts keyed by parts, as (Partition, count) pairs in parts
+    order; every cycle type must have the same weight."""
+    histogram = tuple((Partition(parts), count) for parts, count in sorted(counts.items()))
+    if len({mu.weight for mu, _ in histogram}) != 1:
+        raise ValueError("cycle types of one coset differ in weight")
+    return histogram
 
 
 def _enumerated_type_counts(sizes: tuple[int, ...], g_images: tuple[int, ...]) -> Histogram:
@@ -95,19 +103,23 @@ def _enumerated_type_counts(sizes: tuple[int, ...], g_images: tuple[int, ...]) -
     return _histogram(counts)
 
 
-def _class_type_counts(sizes: tuple[int, ...], marked: tuple[bool, ...]) -> Histogram:
+@functools.lru_cache(maxsize=None)
+def _class_type_counts(blocks: tuple[tuple[int, bool], ...]) -> Histogram:
     """Cycle-type histogram of {g h : h in the block subgroup}, by class counting.
 
-    Here g is the identity or one cycle through one point of each marked
-    block. The cycle type of g h is that of h, except that the h-cycles
-    through g's moved points merge into one, whose length is their sum. In a
-    marked block of size m, (m-1)!/z_nu permutations put the marked point on
-    an L-cycle and give the other points the type nu of m - L; in an unmarked
-    block, m!/z_nu permutations have the type nu of m.
+    The blocks are the sorted (size, marked) pairs, one histogram cached per
+    multiset. Here g is the identity or one cycle through one point of each
+    marked block. The cycle type of g h is that of h, except that the
+    h-cycles through g's moved points merge into one, whose length is their
+    sum. In a marked block of size m, (m-1)!/z_nu permutations put the marked
+    point on an L-cycle and give the other points the type nu of m - L; in an
+    unmarked block, m!/z_nu permutations have the type nu of m. The count is
+    a product over blocks and the merged lengths add, so block order does not
+    matter.
     """
     # (merged length, other cycle lengths) -> number of h, one block at a time
     states: Counter = Counter({(0, ()): 1})
-    for m, is_marked in zip(sizes, marked):
+    for m, is_marked in blocks:
         if is_marked:
             options = [
                 (L, nu.parts, math.factorial(m - 1) // centralizer_order(nu))
@@ -137,13 +149,15 @@ def _coset_type_counts(sizes: tuple[int, int, int], g_images: tuple[int, ...]) -
 
     Counted by class when g moves at most one point per block: with three
     blocks that is at most three moved points, so g is the identity or one
-    cycle. Any other g is enumerated.
+    cycle. The class count is looked up by the sorted (size, marked) pairs,
+    so triples that are one multiset of blocks share it. Any other g is
+    enumerated.
     """
     ends = list(itertools.accumulate(sizes))
     blocks = [bisect.bisect_left(ends, i) for i, image in enumerate(g_images, 1) if image != i]
     if len(set(blocks)) < len(blocks):
         return _enumerated_type_counts(sizes, g_images)
-    return _class_type_counts(sizes, tuple(b in blocks for b in range(len(sizes))))
+    return _class_type_counts(tuple(sorted((m, b in blocks) for b, m in enumerate(sizes))))
 
 
 def _check_permutation(g: Permutation, n: BlockTriple) -> None:
@@ -162,10 +176,15 @@ def _check_order(sizes: tuple[int, ...], bound: int) -> int:
 
 
 def _coset_average(shape: Partition, histogram: Histogram, order: int) -> Fraction:
-    """The character of shape summed over a coset's cycle types, over its size."""
+    """The character of shape summed over a coset's cycle types, over its size.
+
+    The histogram's cycle types share one weight, so one check covers them.
+    """
+    _check_weights(shape, histogram[0][0])
+    lam = shape.parts
     total = 0
     for mu, count in histogram:
-        total += count * mn_character(shape, mu)
+        total += count * _mn(lam, mu.parts)
     return Fraction(total, order)
 
 
@@ -186,7 +205,7 @@ def phi_character_oracle(
 @functools.lru_cache(maxsize=None)
 def _two_factor_type_counts(n1: int, n2: int) -> Histogram:
     """Cycle-type histogram of the coset of the 2-cycle joining two blocks."""
-    return _class_type_counts((n1, n2), (True, True))
+    return _class_type_counts(tuple(sorted(((n1, True), (n2, True)))))
 
 
 def two_factor_character_oracle(

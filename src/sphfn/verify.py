@@ -60,10 +60,11 @@ def _k_values(n: BlockTriple) -> range:
 
 def verify_twocycle(max_block: int, bound: int) -> Iterator[Optional[str]]:
     for n in block_triples(max_block):
+        cycles = [(pair, embed_cycle(pair, n)) for pair in PAIRS]
         for k in _k_values(n):
-            for pair in PAIRS:
+            for pair, g in cycles:
                 closed = phi_2cycle(n, k, pair)
-                oracle = phi_character_oracle(n, k, embed_cycle(pair, n), bound)
+                oracle = phi_character_oracle(n, k, g, bound)
                 if closed != oracle:
                     yield f"n={n.sizes} k={k} pair={pair}: closed {closed} != oracle {oracle}"
                 else:
@@ -72,9 +73,10 @@ def verify_twocycle(max_block: int, bound: int) -> Iterator[Optional[str]]:
 
 def verify_threecycle(max_block: int, bound: int) -> Iterator[Optional[str]]:
     for n in block_triples(max_block):
+        g = embed_cycle((1, 2, 3), n)
         for k in _k_values(n):
             closed = phi_3cycle(n, k)
-            oracle = phi_character_oracle(n, k, embed_cycle((1, 2, 3), n), bound)
+            oracle = phi_character_oracle(n, k, g, bound)
             if closed != oracle:
                 yield f"n={n.sizes} k={k}: closed {closed} != oracle {oracle}"
             else:

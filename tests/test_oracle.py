@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -41,8 +42,10 @@ from sphfn.oracle import (
     project_to_invariant,
     two_factor_character_oracle,
 )
+from sphfn.verify import run_suite
 
 CYCLES = [(1,), (1, 2), (1, 3), (2, 3), (1, 2, 3)]
+PAIRS = [(1, 2), (1, 3), (2, 3)]
 
 
 def small_triples(max_block):
@@ -108,6 +111,23 @@ class TestCharacterOracle:
                 )
                 assert observed == phi_3cycle(n, k), (n, k)
 
+    def test_matches_closed_forms_to_block_eight(self):
+        bound = math.factorial(8) ** 3
+        compared = 0
+        for n in small_triples(8):
+            cycles = [(pair, embed_cycle(pair, n)) for pair in PAIRS]
+            three = embed_cycle((1, 2, 3), n)
+            for k in range(n.N // 2 + 1):
+                for pair, g in cycles:
+                    assert phi_character_oracle(n, k, g, bound) == phi_2cycle(n, k, pair), (
+                        n,
+                        k,
+                        pair,
+                    )
+                assert phi_character_oracle(n, k, three, bound) == phi_3cycle(n, k), (n, k)
+                compared += 4
+        assert compared == 15360
+
     def test_coset_inside_the_subgroup(self):
         """A transposition inside block 1 lies in the subgroup, so its coset is
         the subgroup itself and the average is the multiplicity."""
@@ -155,14 +175,45 @@ class TestClassCounting:
                     n2,
                 )
 
+    def test_block_order_is_irrelevant(self):
+        """Every order of one multiset of (size, marked) blocks counts the
+        same histogram, the one cached under the sorted key."""
+        count = _class_type_counts.__wrapped__
+        patterns = [marked for marked in itertools.product((False, True), repeat=3) if sum(marked) >= 2]
+        for sizes in itertools.combinations_with_replacement(range(1, 6), 3):
+            for marked in patterns:
+                blocks = list(zip(sizes, marked))
+                histograms = {count(order) for order in itertools.permutations(blocks)}
+                assert histograms == {_class_type_counts(tuple(sorted(blocks)))}, blocks
+
+    def test_one_histogram_per_block_multiset(self):
+        for cache in (_class_type_counts, _coset_type_counts):
+            cache.cache_clear()
+        for suite in ("twocycle", "threecycle"):
+            assert run_suite(suite, 4).passed
+        keys = {
+            tuple(sorted((m, b in cycle) for b, m in enumerate(n.sizes, 1)))
+            for n in small_triples(4)
+            for cycle in PAIRS + [(1, 2, 3)]
+        }
+        assert _class_type_counts.cache_info().currsize == len(keys) == 60
+
+    def test_histogram_refuses_mixed_weights(self):
+        with pytest.raises(ValueError, match="differ in weight"):
+            oracle._histogram(Counter({(2, 1): 1, (2,): 1}))
+
+    def test_average_refuses_a_shape_of_another_weight(self):
+        with pytest.raises(ValueError, match="weights differ"):
+            oracle._coset_average(two_row(6, 1), _two_factor_type_counts(2, 3), 12)
+
     def test_histograms_hold_partitions(self):
         """Every counting path keys its histogram by Partitions of N, in parts order."""
         n = BlockTriple(2, 3, 2)
         histograms = [(_two_factor_type_counts(2, 3), 5)]
         for cycle in CYCLES:
-            marked = tuple(b in cycle for b in (1, 2, 3))
+            blocks = tuple(sorted((m, b in cycle) for b, m in enumerate(n.sizes, 1)))
             g = embed_cycle(cycle, n).images
-            histograms.append((_class_type_counts(n.sizes, marked), n.N))
+            histograms.append((_class_type_counts(blocks), n.N))
             histograms.append((_enumerated_type_counts(n.sizes, g), n.N))
         for histogram, N in histograms:
             assert all(isinstance(mu, Partition) and mu.weight == N for mu, _ in histogram)
@@ -181,6 +232,16 @@ class TestTwoFactorOracle:
                     assert two_factor_character_oracle(n1, n2, k) == (
                         phi_2cycle_two_factor(n1, n2, k)
                     ), (n1, n2, k)
+
+    def test_matches_closed_form_to_sixteen_points(self):
+        compared = 0
+        for N in range(2, 17):
+            for n1 in range(1, N):
+                for k in range(min(n1, N - n1) + 1):
+                    observed = two_factor_character_oracle(n1, N - n1, k, bound=math.factorial(15))
+                    assert observed == phi_2cycle_two_factor(n1, N - n1, k), (n1, N - n1, k)
+                    compared += 1
+        assert compared == 492
 
     def test_bound_refusal(self):
         with pytest.raises(OracleBoundExceeded):
