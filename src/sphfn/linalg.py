@@ -33,12 +33,19 @@ def _primitive(row: list[int]) -> list[int]:
     return row if g <= 1 else [x // g for x in row]
 
 
+def _check_row_lengths(matrix: Sequence[Sequence], ncols: int) -> None:
+    for i, row in enumerate(matrix):
+        if len(row) != ncols:
+            raise ValueError(f"{ncols} columns but row {i} has {len(row)} entries")
+
+
 def row_echelon(matrix: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and the list of pivot column indices."""
     m = [_primitive(over_common_denominator(row)[0]) for row in matrix]
     if not m:
         return [], []
     ncols = len(m[0])
+    _check_row_lengths(m, ncols)
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
@@ -75,6 +82,7 @@ def nullspace(matrix: Sequence[Sequence], ncols: int | None = None) -> Matrix:
         if not matrix:
             raise ValueError("ncols is required for an empty matrix")
         ncols = len(matrix[0])
+    _check_row_lengths(matrix, ncols)
     if not matrix:
         return [[Fraction(int(i == j)) for j in range(ncols)] for i in range(ncols)]
     echelon, pivots = row_echelon(matrix)
@@ -100,6 +108,7 @@ def solve(matrix: Sequence[Sequence], rhs: Sequence) -> list[Fraction]:
     if len(rhs) != len(matrix):
         raise ValueError(f"{len(matrix)} equations but {len(rhs)} right-hand sides")
     ncols = len(matrix[0])
+    _check_row_lengths(matrix, ncols)
     augmented = [list(row) + [b] for row, b in zip(matrix, rhs)]
     echelon, pivots = row_echelon(augmented)
     if ncols in pivots:

@@ -19,11 +19,11 @@ Both refuse to run past a size bound: the subgroup order n1! n2! n3! for the
 character oracle, C(N, k) for the module oracle. They exist to be right, not
 fast.
 
-Two bounded caches (the 512 most recent (n, k) each) hold what does not
-depend on the permutation: the invariant basis, one nullspace shared by the
-five cycles of one (n, k) and invariants_in_Vk, and the module oracle's
-orbit frame, its labels, orbit sizes and distinct divergence rows. A call
-of the module oracle then counts how g moves subsets between orbits and
+One bounded cache (the 512 most recent (n, k)) holds what does not depend
+on the permutation, the module oracle's orbit frame: its labels, orbit
+sizes and distinct divergence rows, and the invariant basis, the nullspace
+of those rows, shared by the five cycles of one (n, k) and invariants_in_Vk.
+A call of the module oracle then counts how g moves subsets between orbits and
 reads the trace off the reduced basis, with no linear solve. Caching skips
 no check: every call still checks each basis table and each projected image
 for divergence and for lying in the basis's span, and every VkVector handed
@@ -342,70 +342,6 @@ def build_Vk_basis(N: int, k: int, bound: int = DEFAULT_BOUND) -> list[VkVector]
     ]
 
 
-def _point_blocks(n: BlockTriple) -> list[int]:
-    """The block (1, 2 or 3) of each point 1..N, at index point - 1."""
-    return [1] * n.n1 + [2] * n.n2 + [3] * n.n3
-
-
-def _labelled_subsets(n: BlockTriple, k: int) -> list[tuple[tuple[int, ...], tuple[int, int]]]:
-    """Every k-subset of [1, N] in lexicographic order, with its orbit label.
-
-    The label (u, v) counts the subset's points in blocks 1 and 2. The block
-    tuples come from the same combinations of the points' blocks, so they
-    line up with the subsets.
-    """
-    return [
-        (subset, (blocks.count(1), blocks.count(2)))
-        for subset, blocks in zip(
-            itertools.combinations(range(1, n.N + 1), k),
-            itertools.combinations(_point_blocks(n), k),
-        )
-    ]
-
-
-# 512 holds every (n, k) with blocks <= 4 (288 of them).
-@functools.lru_cache(maxsize=512)
-def _invariant_tables(n: BlockTriple, k: int) -> tuple[CoeffTable, ...]:
-    """Orbit-constant solutions of the raw divergence system, cached per (n, k).
-
-    Invariance under the block subgroup forces one unknown per orbit label;
-    every (k-1)-subset then contributes one equation on those unknowns, with
-    a 1 for each point j outside it, at the label of the subset plus j. All
-    equations are imposed verbatim, without collapsing them into the label
-    recurrence, so this stays independent of the difference-equation code.
-    A (k-1)-subset's label need not be on the degree-k grid, so its three
-    target labels are looked up once with .get; a point j outside the subset
-    only ever lands on a target that exists.
-    """
-    if k == 0:
-        return (CoeffTable(n, 0, {(0, 0): Fraction(1)}),)
-    labels = admissible_grid(n, k)
-    label_index = {uv: j for j, uv in enumerate(labels)}
-    point_blocks = _point_blocks(n)
-    seen: set[tuple[int, ...]] = set()
-    rows = []
-    for smaller, (u, v) in _labelled_subsets(n, k - 1):
-        targets = (
-            label_index.get((u + 1, v)),
-            label_index.get((u, v + 1)),
-            label_index.get((u, v)),
-        )
-        inside = set(smaller)
-        row = [0] * len(labels)
-        for j, block in enumerate(point_blocks, 1):
-            if j not in inside:
-                row[targets[block - 1]] += 1
-        key = tuple(row)
-        if key not in seen:  # repeated subsets give literally equal equations
-            seen.add(key)
-            rows.append(row)
-    kernel = linalg.nullspace(rows, ncols=len(labels))
-    return tuple(
-        CoeffTable(n, k, {uv: value for uv, value in zip(labels, vec)})
-        for vec in kernel
-    )
-
-
 def _label_codes(n: BlockTriple, k: int) -> list[int]:
     """Each point's share of the code u + v (k + 1) of a k-subset's label (u, v).
 
@@ -416,6 +352,23 @@ def _label_codes(n: BlockTriple, k: int) -> list[int]:
     return [1] * n.n1 + [k + 1] * n.n2 + [0] * n.n3
 
 
+def _labelled_subsets(n: BlockTriple, k: int) -> list[tuple[tuple[int, ...], tuple[int, int]]]:
+    """Every k-subset of [1, N] in lexicographic order, with its orbit label.
+
+    The label (u, v) counts the subset's points in blocks 1 and 2, read off
+    the sum of its points' label codes. The codes run through the same
+    combinations as the points, so they line up with the subsets.
+    """
+    base = k + 1
+    return [
+        (subset, (code % base, code // base))
+        for subset, code in zip(
+            itertools.combinations(range(1, n.N + 1), k),
+            map(sum, itertools.combinations(_label_codes(n, k), k)),
+        )
+    ]
+
+
 class _OrbitFrame(NamedTuple):
     """Everything phi_module_oracle needs of (n, k) that does not depend on g."""
 
@@ -424,23 +377,28 @@ class _OrbitFrame(NamedTuple):
     sizes: tuple[int, ...]  # orbit size per label, counted
     common: int  # lcm of the orbit sizes
     divergence: tuple[tuple[int, ...], ...]  # distinct divergence rows
+    basis: tuple[CoeffTable, ...]  # the invariant basis, the kernel of divergence
 
 
+# 512 holds every (n, k) with blocks <= 4 (288 of them).
 @functools.lru_cache(maxsize=512)
 def _orbit_frame(n: BlockTriple, k: int) -> _OrbitFrame:
-    """The orbit labels, sizes and divergence rows of (n, k), cached beside the basis.
+    """The orbit labels, sizes, divergence rows and invariant basis of (n, k), cached.
 
+    Invariance under the block subgroup forces one unknown per orbit label.
     One pass over the C(N, k) subsets counts each orbit and, for every
     (k-1)-subset S, the labels of the subsets that contain S; the divergence
     of an orbit-constant vector at S is the sum of its values over those
-    labels, so each distinct row of counts is one check. Only the distinct
-    rows are kept, not one entry per subset.
+    labels, so each distinct row of counts is one equation. Only the
+    distinct rows are kept, not one entry per subset. All of them are
+    imposed verbatim, without collapsing them into the label recurrence, so
+    the basis, their kernel from linalg.nullspace, stays independent of the
+    difference-equation code. At k = 0 there is no (k-1)-subset and the
+    kernel is the one constant table.
     """
     labels = tuple(admissible_grid(n, k))
     base = k + 1
     index = {u + v * base: a for a, (u, v) in enumerate(labels)}
-    if k == 0:
-        return _OrbitFrame(labels, index, (1,), 1, ())
     sizes = [0] * len(labels)
     faces: defaultdict[tuple[int, ...], list[int]] = defaultdict(lambda: [0] * len(labels))
     for subset, code in zip(
@@ -449,10 +407,23 @@ def _orbit_frame(n: BlockTriple, k: int) -> _OrbitFrame:
     ):
         a = index[code]
         sizes[a] += 1
-        for face in itertools.combinations(subset, k - 1):
+        for face in itertools.combinations(subset, k - 1) if k else ():
             faces[face][a] += 1
     divergence = tuple(sorted({tuple(row) for row in faces.values()}))
-    return _OrbitFrame(labels, index, tuple(sizes), math.lcm(*sizes), divergence)
+    basis = tuple(
+        CoeffTable(n, k, dict(zip(labels, vec)))
+        for vec in linalg.nullspace(divergence, ncols=len(labels))
+    )
+    return _OrbitFrame(labels, index, tuple(sizes), math.lcm(*sizes), divergence, basis)
+
+
+def _invariant_tables(n: BlockTriple, k: int) -> tuple[CoeffTable, ...]:
+    """The invariant basis of (n, k), read off its cached orbit frame.
+
+    Not cached itself; phi_module_oracle and invariants_in_Vk take the basis
+    only through this name, looked up at call time.
+    """
+    return _orbit_frame(n, k).basis
 
 
 def invariants_in_Vk(n: BlockTriple, k: int, bound: int = DEFAULT_BOUND) -> list[VkVector]:

@@ -128,3 +128,33 @@ def test_nullspace_empty_matrix_needs_ncols():
         linalg.nullspace([])
     basis = linalg.nullspace([], ncols=2)
     assert len(basis) == 2
+
+
+@pytest.mark.parametrize(
+    "matrix, ncols, message",
+    [
+        ([[1, 0, 0]], 2, "2 columns but row 0 has 3 entries"),  # used to drop the last column
+        ([[1, 0]], 3, "3 columns but row 0 has 2 entries"),  # used to raise IndexError
+        ([[1, 0], [1]], None, "2 columns but row 1 has 1 entries"),
+        ([[1, 0], [1]], 2, "2 columns but row 1 has 1 entries"),
+    ],
+)
+def test_nullspace_rejects_rows_of_the_wrong_length(matrix, ncols, message):
+    with pytest.raises(ValueError, match=message):
+        linalg.nullspace(matrix, ncols=ncols)
+
+
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        ([[1, 0], [1]], "2 columns but row 1 has 1 entries"),
+        ([[1], [0, 1]], "1 columns but row 1 has 2 entries"),
+    ],
+)
+def test_ragged_matrix_is_refused(matrix, message):
+    with pytest.raises(ValueError, match=message):
+        linalg.row_echelon(matrix)
+    with pytest.raises(ValueError, match=message):
+        linalg.rank(matrix)
+    with pytest.raises(ValueError, match=message):
+        linalg.solve(matrix, [1, 2])

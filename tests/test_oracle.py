@@ -25,7 +25,7 @@ from sphfn.core import (
     embed_cycle,
     young_subgroup_elements,
 )
-from sphfn.hahn import CoeffTable
+from sphfn.hahn import CoeffTable, admissible_grid
 from sphfn.invariant_calculus import check_difference_equation
 from sphfn.oracle import (
     OracleBoundExceeded,
@@ -53,6 +53,48 @@ def small_triples(max_block):
         BlockTriple(*sizes)
         for sizes in itertools.product(range(1, max_block + 1), repeat=3)
     ]
+
+
+def reference_invariant_tables(n, k):
+    """Orbit-constant solutions of the raw divergence system, written out.
+
+    Invariance under the block subgroup forces one unknown per orbit label;
+    every (k-1)-subset then contributes one equation on those unknowns, with
+    a 1 for each point j outside it, at the label of the subset plus j. The
+    module oracle's orbit frame builds its rows from the faces of the
+    k-subsets instead; this loop is the construction it replaced.
+    """
+    if k == 0:
+        return (CoeffTable(n, 0, {(0, 0): Fraction(1)}),)
+    labels = admissible_grid(n, k)
+    label_index = {uv: j for j, uv in enumerate(labels)}
+    point_blocks = [1] * n.n1 + [2] * n.n2 + [3] * n.n3
+    seen = set()
+    rows = []
+    for smaller, blocks in zip(
+        itertools.combinations(range(1, n.N + 1), k - 1),
+        itertools.combinations(point_blocks, k - 1),
+    ):
+        u, v = blocks.count(1), blocks.count(2)
+        targets = (
+            label_index.get((u + 1, v)),
+            label_index.get((u, v + 1)),
+            label_index.get((u, v)),
+        )
+        inside = set(smaller)
+        row = [0] * len(labels)
+        for j, block in enumerate(point_blocks, 1):
+            if j not in inside:
+                row[targets[block - 1]] += 1
+        key = tuple(row)
+        if key not in seen:  # repeated subsets give literally equal equations
+            seen.add(key)
+            rows.append(row)
+    kernel = linalg.nullspace(rows, ncols=len(labels))
+    return tuple(
+        CoeffTable(n, k, {uv: value for uv, value in zip(labels, vec)})
+        for vec in kernel
+    )
 
 
 def action_trace(basis, g):
@@ -478,17 +520,29 @@ class TestModuleOracle:
             g = Permutation(tuple(rng.sample(range(1, n.N + 1), n.N)))
             assert phi_module_oracle(n, k, g) == phi_character_oracle(n, k, g), (n, k, g)
 
+    def test_basis_matches_the_reference_system(self):
+        """The frame's basis equals the kernel of the (k-1)-subset equations,
+        table by table, at every (n, k) with blocks <= 4."""
+        compared = 0
+        for n in small_triples(4):
+            for k in range(n.N // 2 + 1):
+                expected = reference_invariant_tables(n, k)
+                assert oracle._orbit_frame(n, k).basis == expected, (n, k)
+                compared += 1
+        assert compared == 288
+
     def test_basis_cache_is_bounded(self):
         n = BlockTriple(2, 1, 1)
         assert isinstance(oracle._invariant_tables(n, 1), tuple)
         assert isinstance(oracle._invariant_tables(n, 0), tuple)
-        assert oracle._invariant_tables.cache_info().maxsize is not None
+        assert oracle._invariant_tables(n, 1) is oracle._orbit_frame(n, 1).basis
+        assert not hasattr(oracle._invariant_tables, "cache_info")
         assert oracle._orbit_frame(n, 1).labels == ((0, 0), (0, 1), (1, 0))
         assert oracle._orbit_frame.cache_info().maxsize is not None
 
     def test_values_do_not_depend_on_the_basis_cache(self, monkeypatch):
         """Cleared, warm and overfilled (evicting) caches give the same values."""
-        caches = {"_invariant_tables": oracle._invariant_tables, "_orbit_frame": oracle._orbit_frame}
+        cache = oracle._orbit_frame
         pairs = [(n, k) for n in small_triples(3) for k in range(n.N // 2 + 1)]
         assert any(k == 0 for _, k in pairs)
 
@@ -498,30 +552,26 @@ class TestModuleOracle:
         cleared = {}
         for n, k in pairs:
             for cycle in CYCLES:
-                for cache in caches.values():
-                    cache.cache_clear()
+                cache.cache_clear()
                 cleared[n, k, cycle] = value(n, k, cycle)
         warm = {case: value(*case) for case in cleared}
-        for cache in caches.values():
-            assert cache.cache_info().hits >= len(cleared) - len(pairs)
+        assert cache.cache_info().hits >= len(cleared) - len(pairs)
         assert warm == cleared
 
-        # The same bodies behind one-entry caches, swept cycle-major: each
-        # call names a different (n, k) than the last, so every lookup
-        # misses and evicts.
-        evicting = {}
-        for name, cache in caches.items():
-            evicting[name] = functools.lru_cache(maxsize=1)(cache.__wrapped__)
-            monkeypatch.setattr(oracle, name, evicting[name])
+        # The same body behind a one-entry cache, swept cycle-major: each
+        # call names a different (n, k) than the last, so its first lookup,
+        # for the basis, misses and evicts, and its second, for the frame,
+        # hits.
+        evicting = functools.lru_cache(maxsize=1)(cache.__wrapped__)
+        monkeypatch.setattr(oracle, "_orbit_frame", evicting)
         overfilled = {}
         for cycle in CYCLES:
             for n, k in pairs:
                 overfilled[n, k, cycle] = value(n, k, cycle)
-        for cache in evicting.values():
-            info = cache.cache_info()
-            assert info.currsize == info.maxsize
-            assert info.hits == 0
-            assert info.misses == len(cleared)
+        info = evicting.cache_info()
+        assert info.currsize == info.maxsize
+        assert info.hits == len(cleared)
+        assert info.misses == len(cleared)
         assert overfilled == cleared
 
     def test_bound_refusal(self):
