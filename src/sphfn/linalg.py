@@ -5,7 +5,8 @@ elimination is fraction-free Gauss-Jordan (after Bareiss, Math. Comp. 22,
 1968, but keeping entries small by the gcd of each row rather than by exact
 division by the previous pivot): each row is scaled to integers once, a row
 is cleared by p * row - q * pivot_row and divided by the gcd of its entries,
-and the pivot rows are divided by their pivots only at the end. The reduced
+and the pivot rows are divided by their pivots only at the end: row_echelon
+divides every entry, nullspace only its kernel's nonzero entries. The reduced
 row echelon form is unique, so the Fractions returned are exactly those of
 plain Gauss-Jordan elimination over Fraction.
 """
@@ -39,8 +40,12 @@ def _check_row_lengths(matrix: Sequence[Sequence], ncols: int) -> None:
             raise ValueError(f"{ncols} columns but row {i} has {len(row)} entries")
 
 
-def row_echelon(matrix: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and the list of pivot column indices."""
+def _eliminate(matrix: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
+    """The integer core of row_echelon: rows and pivot columns.
+
+    Pivot row i divided by its entry at pivots[i] is row i of the reduced
+    row echelon form; the rows past the pivots are zero.
+    """
     m = [_primitive(over_common_denominator(row)[0]) for row in matrix]
     if not m:
         return [], []
@@ -63,8 +68,14 @@ def row_echelon(matrix: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
         r += 1
         if r == len(m):
             break
+    return m, pivots
+
+
+def row_echelon(matrix: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form and the list of pivot column indices."""
+    m, pivots = _eliminate(matrix)
     echelon = [[Fraction(x, m[i][c]) for x in m[i]] for i, c in enumerate(pivots)]
-    echelon += [[Fraction(0)] * ncols for _ in range(len(m) - len(pivots))]
+    echelon += [[Fraction(0)] * len(row) for row in m[len(pivots):]]
     return echelon, pivots
 
 
@@ -85,14 +96,15 @@ def nullspace(matrix: Sequence[Sequence], ncols: int | None = None) -> Matrix:
     _check_row_lengths(matrix, ncols)
     if not matrix:
         return [[Fraction(int(i == j)) for j in range(ncols)] for i in range(ncols)]
-    echelon, pivots = row_echelon(matrix)
+    m, pivots = _eliminate(matrix)
     free = [c for c in range(ncols) if c not in pivots]
     basis: Matrix = []
     for f in free:
         vec = [Fraction(0)] * ncols
         vec[f] = Fraction(1)
         for r, c in enumerate(pivots):
-            vec[c] = -echelon[r][f]
+            if m[r][f]:
+                vec[c] = Fraction(-m[r][f], m[r][c])
         basis.append(vec)
     return basis
 

@@ -28,6 +28,12 @@ reads the trace off the reduced basis, with no linear solve. Caching skips
 no check: every call still checks each basis table and each projected image
 for divergence and for lying in the basis's span, and every VkVector handed
 out checks its own.
+
+Wherever faces are summed, a subset is the bitmask sum of 1 << p over its
+points, and its faces are the masks with one bit dropped. One subset rule
+checks VkVector keys; invariants_in_Vk, project_to_invariant and
+build_Vk_basis build their vectors over one shared subset list, checked once
+per call, and check each vector's divergence from its own coordinates.
 """
 from __future__ import annotations
 
@@ -222,50 +228,104 @@ def two_factor_character_oracle(
     return _coset_average(shape, _two_factor_type_counts(n1, n2), order)
 
 
+def _subset_keys(N: int, k: int, subsets: Iterable) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The sorted keys and bitmasks (sum of 1 << p) of k-subsets of [1, N].
+
+    The one subset rule: k points, each an int (not a bool) in [1, N], all
+    distinct, and no subset given twice; ValueError otherwise.
+    """
+    keys: list[tuple[int, ...]] = []
+    masks: list[int] = []
+    given: set[int] = set()
+    ints = [int] * k
+    for subset in subsets:
+        # Sorting is safe once every point is an int; the points are
+        # distinct when the mask has k bits set.
+        if [*map(type, subset)] == ints:
+            key = tuple(sorted(subset))
+            if not key or 1 <= key[0] and key[-1] <= N:
+                mask = sum(map((1).__lshift__, key))
+                if mask.bit_count() == k:
+                    if mask in given:
+                        raise ValueError(f"subset {key} given twice")
+                    given.add(mask)
+                    keys.append(key)
+                    masks.append(mask)
+                    continue
+        raise ValueError(f"not a k-subset of [1, {N}]: {subset}")
+    return keys, masks
+
+
+def _faces_cancel(masks: Iterable[int], values: Iterable[int]) -> bool:
+    """Whether integer coordinates sum to zero at every face.
+
+    The faces of a subset mask are the masks with one of its bits dropped,
+    mask ^ lowbit; each coordinate adds its value at each face of its subset.
+    """
+    sums: dict[int, int] = {}
+    for mask, x in zip(masks, values):
+        if x:
+            rest = mask
+            while rest:
+                low = rest & -rest
+                face = mask ^ low
+                sums[face] = sums.get(face, 0) + x
+                rest ^= low
+    return not any(sums.values())
+
+
 class VkVector:
     """A divergence-free vector in the span of squarefree degree-k monomials.
 
     Coordinates are indexed by sorted k-tuples; absent subsets read as zero.
-    The constructor rejects any key that is not a k-subset of [1, N], and two
-    keys naming the same subset. It then enforces the defining condition,
-    that dropping one point from each subset sums to zero over every
-    (k-1)-subset; the sums run in integers, on the coordinates scaled by the
-    lcm of their denominators. Every vector this module hands out passes
-    through here; phi_module_oracle builds no vector and makes the same
-    divergence check itself, on every vector it uses.
+    Every key must pass the one subset rule (_subset_keys): k distinct int
+    points in [1, N], no subset named twice. The defining condition is then
+    enforced, that dropping one point from each subset sums to zero over
+    every (k-1)-subset; the sums run in integers, on the coordinates scaled
+    by the lcm of their denominators, with subsets as bitmasks. Every vector
+    this module hands out passes both checks, through the constructor or
+    through _from_tables, which checks one shared subset list once and then
+    each vector's own divergence; phi_module_oracle builds no vector and
+    makes the same divergence check itself, on every vector it uses.
     """
 
     __slots__ = ("_N", "_k", "_coords")
 
     def __init__(self, N: int, k: int, coords: Mapping[tuple[int, ...], object]):
+        keys, masks = _subset_keys(N, k, coords)
+        values = [x if isinstance(x, Fraction) else Fraction(x) for x in coords.values()]
+        self._fill(N, k, keys, masks, values, linalg.over_common_denominator(values)[0])
+
+    @classmethod
+    def _from_tables(
+        cls, N: int, k: int, labelled: list[tuple[tuple[int, ...], object]], tables: Iterable
+    ) -> list["VkVector"]:
+        """One vector per table, with the table's value at each (subset, label).
+
+        A table is anything whose items() are (label, value) pairs, such as
+        a dict or a CoeffTable. The subsets are checked once, by the
+        constructor's rule. Each table is scaled to integers once, over its
+        own values.
+        """
+        keys, masks = _subset_keys(N, k, [subset for subset, _ in labelled])
+        labels = [uv for _, uv in labelled]
+        vectors = []
+        for table in tables:
+            values = {uv: x if isinstance(x, Fraction) else Fraction(x) for uv, x in table.items()}
+            scaled = dict(zip(values, linalg.over_common_denominator(values.values())[0]))
+            vec = cls.__new__(cls)
+            vec._fill(N, k, keys, masks, [values[uv] for uv in labels], [scaled[uv] for uv in labels])
+            vectors.append(vec)
+        return vectors
+
+    def _fill(self, N: int, k: int, keys: list, masks: list, values: list, scaled: list) -> None:
+        """Set the nonzero coordinates; ValueError unless the integer
+        coordinates, scaled, are divergence free."""
         self._N = N
         self._k = k
-        given: set[tuple[int, ...]] = set()
-        cleaned: dict[tuple[int, ...], Fraction] = {}
-        for subset, value in coords.items():
-            key = tuple(sorted(subset))
-            if len(key) != k or len(set(key)) != k or key and not 1 <= key[0] <= key[-1] <= N:
-                raise ValueError(f"not a k-subset of [1, {N}]: {subset}")
-            if key in given:
-                raise ValueError(f"subset {key} given twice")
-            given.add(key)
-            if not isinstance(value, Fraction):
-                value = Fraction(value)
-            if value != 0:
-                cleaned[key] = value
-        self._coords = cleaned
-        if not self._divergence_free():
+        self._coords = {key: x for key, x, y in zip(keys, values, scaled) if y}
+        if not _faces_cancel(masks, scaled):
             raise ValueError("coordinates violate the divergence condition")
-
-    def _divergence_free(self) -> bool:
-        if self._k == 0:
-            return True
-        values, _ = linalg.over_common_denominator(self._coords.values())
-        sums: dict[tuple[int, ...], int] = {}
-        for subset, x in zip(self._coords, values):
-            for smaller in itertools.combinations(subset, self._k - 1):
-                sums[smaller] = sums.get(smaller, 0) + x
-        return not any(sums.values())
 
     @property
     def N(self) -> int:
@@ -336,10 +396,8 @@ def build_Vk_basis(N: int, k: int, bound: int = DEFAULT_BOUND) -> list[VkVector]
                 row[column_index[tuple(sorted(smaller + (j,)))]] = 1
         rows.append(row)
     kernel = linalg.nullspace(rows, ncols=len(columns))
-    return [
-        VkVector(N, k, {subset: value for subset, value in zip(columns, vec)})
-        for vec in kernel
-    ]
+    labelled = [(subset, j) for j, subset in enumerate(columns)]
+    return VkVector._from_tables(N, k, labelled, [dict(enumerate(vec)) for vec in kernel])
 
 
 def _label_codes(n: BlockTriple, k: int) -> list[int]:
@@ -386,10 +444,11 @@ def _orbit_frame(n: BlockTriple, k: int) -> _OrbitFrame:
     """The orbit labels, sizes, divergence rows and invariant basis of (n, k), cached.
 
     Invariance under the block subgroup forces one unknown per orbit label.
-    One pass over the C(N, k) subsets counts each orbit and, for every
-    (k-1)-subset S, the labels of the subsets that contain S; the divergence
-    of an orbit-constant vector at S is the sum of its values over those
-    labels, so each distinct row of counts is one equation. Only the
+    One pass over the C(N, k) subsets, as bitmasks, counts each orbit and,
+    for every (k-1)-subset S, a face mask, the labels of the subsets that
+    contain S; the divergence of an orbit-constant vector at S is the sum
+    of its values over those labels, so each distinct row of counts is one
+    equation. Only the
     distinct rows are kept, not one entry per subset. All of them are
     imposed verbatim, without collapsing them into the label recurrence, so
     the basis, their kernel from linalg.nullspace, stays independent of the
@@ -400,15 +459,19 @@ def _orbit_frame(n: BlockTriple, k: int) -> _OrbitFrame:
     base = k + 1
     index = {u + v * base: a for a, (u, v) in enumerate(labels)}
     sizes = [0] * len(labels)
-    faces: defaultdict[tuple[int, ...], list[int]] = defaultdict(lambda: [0] * len(labels))
-    for subset, code in zip(
-        itertools.combinations(range(1, n.N + 1), k),
+    faces: defaultdict[int, list[int]] = defaultdict(lambda: [0] * len(labels))
+    bits = [1 << p for p in range(1, n.N + 1)]
+    for mask, code in zip(
+        map(sum, itertools.combinations(bits, k)),
         map(sum, itertools.combinations(_label_codes(n, k), k)),
     ):
         a = index[code]
         sizes[a] += 1
-        for face in itertools.combinations(subset, k - 1) if k else ():
-            faces[face][a] += 1
+        rest = mask
+        while rest:
+            low = rest & -rest
+            faces[mask ^ low][a] += 1
+            rest ^= low
     divergence = tuple(sorted({tuple(row) for row in faces.values()}))
     basis = tuple(
         CoeffTable(n, k, dict(zip(labels, vec)))
@@ -434,12 +497,7 @@ def invariants_in_Vk(n: BlockTriple, k: int, bound: int = DEFAULT_BOUND) -> list
     """
     check_k(n.N, k)
     _check_space_bound(n.N, k, bound)
-    labelled = _labelled_subsets(n, k)
-    vectors = []
-    for table in _invariant_tables(n, k):
-        entries = dict(table.items())
-        vectors.append(VkVector(n.N, k, {subset: entries[uv] for subset, uv in labelled}))
-    return vectors
+    return VkVector._from_tables(n.N, k, _labelled_subsets(n, k), _invariant_tables(n, k))
 
 
 def _check_points(vec: VkVector, n: BlockTriple) -> None:
@@ -468,7 +526,7 @@ def project_to_invariant(vec: VkVector, n: BlockTriple) -> VkVector:
         sums[uv] = sums.get(uv, ZERO) + vec.coord(subset)
         sizes[uv] += 1
     means = {uv: sums[uv] / sizes[uv] for uv in sums}
-    return VkVector(vec.N, vec.k, {subset: means[uv] for subset, uv in labelled})
+    return VkVector._from_tables(vec.N, vec.k, labelled, [means])[0]
 
 
 def phi_module_oracle(

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -72,6 +73,49 @@ def test_row_echelon_matches_fraction_gauss_jordan(m):
     assert pivots == expected_pivots
     assert echelon == expected
     assert all(type(x) is Fraction for row in echelon for x in row)
+
+
+def reference_kernel(matrix, ncols):
+    """The kernel read off the Fraction Gauss-Jordan reference: one vector
+    per free column, 1 there and minus that column of the pivot rows."""
+    echelon, pivots = gauss_jordan_reference(matrix)
+    kernel = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[f] = Fraction(1)
+        for r, c in enumerate(pivots):
+            vec[c] = -echelon[r][f]
+        kernel.append(vec)
+    return kernel
+
+
+def test_nullspace_matches_fraction_gauss_jordan():
+    """Seeded random int and Fraction matrices, built as combinations of
+    fewer random rows, so most are rank deficient; some have zero rows or
+    no rows at all."""
+    rng = random.Random(20261021)
+    shapes = {"no rows": 0, "zero row": 0, "rank deficient": 0}
+    for _ in range(600):
+        ncols = rng.randint(1, 7)
+        as_fractions = rng.random() < 0.5
+
+        def entry():
+            if as_fractions:
+                return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+            return rng.randint(-9, 9)
+
+        spanning = [[entry() for _ in range(ncols)] for _ in range(rng.randint(0, 4))]
+        matrix = []
+        for _ in range(rng.randint(0, 6)):
+            weights = [rng.randint(-2, 2) for _ in spanning]
+            matrix.append([sum(w * row[c] for w, row in zip(weights, spanning)) for c in range(ncols)])
+        kernel = linalg.nullspace(matrix, ncols=ncols)
+        assert kernel == reference_kernel(matrix, ncols), matrix
+        assert all(type(x) is Fraction for vec in kernel for x in vec)
+        shapes["no rows"] += not matrix
+        shapes["zero row"] += any(not any(row) for row in matrix)
+        shapes["rank deficient"] += ncols - len(kernel) < min(len(matrix), ncols)
+    assert min(shapes.values()) >= 50, shapes
 
 
 def test_row_echelon_known():

@@ -97,6 +97,58 @@ def reference_invariant_tables(n, k):
     )
 
 
+def point_labels(n, k):
+    """Every k-subset of [1, N] with its orbit label (u, v): its points in
+    blocks 1 and 2, counted point by point."""
+    point_blocks = [1] * n.n1 + [2] * n.n2 + [3] * n.n3
+    return [
+        (subset, (blocks.count(1), blocks.count(2)))
+        for subset, blocks in zip(
+            itertools.combinations(range(1, n.N + 1), k),
+            itertools.combinations(point_blocks, k),
+        )
+    ]
+
+
+def reference_orbit_rows(n, k):
+    """Orbit sizes and distinct divergence rows of (n, k), faces as tuples.
+
+    The orbit frame's former loop: every (k-1)-subset of each k-subset is a
+    face, and each face counts the labels of the subsets that contain it.
+    """
+    labels = admissible_grid(n, k)
+    index = {uv: a for a, uv in enumerate(labels)}
+    sizes = [0] * len(labels)
+    faces = {}
+    for subset, uv in point_labels(n, k):
+        a = index[uv]
+        sizes[a] += 1
+        for face in itertools.combinations(subset, k - 1) if k else ():
+            faces.setdefault(face, [0] * len(labels))[a] += 1
+    return tuple(sizes), tuple(sorted({tuple(row) for row in faces.values()}))
+
+
+def reference_faces_cancel(coords, k):
+    """The former divergence check: integer coordinates summed at every
+    (k-1)-tuple face of their subsets."""
+    sums = {}
+    for subset, x in coords.items():
+        for face in itertools.combinations(subset, k - 1) if k else ():
+            sums[face] = sums.get(face, 0) + x
+    return not any(sums.values())
+
+
+def raw_kernel(N, k):
+    """The columns and kernel vectors of the raw divergence system of V_k:
+    one equation per (k-1)-subset, a 1 at each k-subset containing it."""
+    columns = list(itertools.combinations(range(1, N + 1), k))
+    rows = [
+        [int(set(smaller) <= set(subset)) for subset in columns]
+        for smaller in (itertools.combinations(range(1, N + 1), k - 1) if k else ())
+    ]
+    return columns, linalg.nullspace(rows, ncols=len(columns))
+
+
 def action_trace(basis, g):
     """Trace of the translation action of g in the given basis, by solving."""
     if not basis:
@@ -321,6 +373,71 @@ class TestVkVector:
         with pytest.raises(ValueError):
             VkVector(4, 1, coords)
 
+    @pytest.mark.parametrize(
+        "coords", [{(1.5,): 1, (2,): -1}, {(True,): 1, (2,): -1}, {("a",): 1, (2,): -1}]
+    )
+    def test_rejects_points_that_are_not_ints(self, coords):
+        (subset,) = [key for key in coords if key != (2,)]
+        with pytest.raises(ValueError) as excinfo:
+            VkVector(3, 1, coords)
+        assert str(excinfo.value) == f"not a k-subset of [1, 3]: {subset}"
+
+    @pytest.mark.parametrize(
+        "N, k, coords, message",
+        [
+            (4, 1, {(1, 2): 1}, "not a k-subset of [1, 4]: (1, 2)"),  # wrong length
+            (3, 0, {(1,): 1}, "not a k-subset of [1, 3]: (1,)"),
+            (4, 2, {(1, 1): 1}, "not a k-subset of [1, 4]: (1, 1)"),  # repeated point
+            (4, 1, {(0,): 1}, "not a k-subset of [1, 4]: (0,)"),  # out of range
+            (4, 2, {(5, 3): 1}, "not a k-subset of [1, 4]: (5, 3)"),
+            (4, 2, {(1, 3): 1, (3, 1): 0}, "subset (1, 3) given twice"),
+            (4, 2, {(2, 4): 1, (4, 2): 1, (0, 1): 1}, "subset (2, 4) given twice"),
+        ],
+    )
+    def test_bad_subset_messages(self, N, k, coords, message):
+        """Every refusal names the first bad key, in the same words through
+        the constructor and through one shared subset list."""
+        with pytest.raises(ValueError) as excinfo:
+            VkVector(N, k, coords)
+        assert str(excinfo.value) == message
+        labelled = [(subset, j) for j, subset in enumerate(coords)]
+        with pytest.raises(ValueError) as excinfo:
+            VkVector._from_tables(N, k, labelled, [dict(enumerate(coords.values()))])
+        assert str(excinfo.value) == message
+
+    def test_face_sums_match_tuple_faces(self):
+        """The bitmask face sums against summing over (k-1)-tuples, on seeded
+        random integer vectors with N <= 8: divergence-free combinations of
+        the basis, the same with one coordinate bumped, and arbitrary ones."""
+        rng = random.Random(20261020)
+        outcomes = Counter()
+        for _ in range(300):
+            N = rng.randint(1, 8)
+            k = rng.randint(0, N // 2)
+            columns = list(itertools.combinations(range(1, N + 1), k))
+            masks = [sum(1 << p for p in subset) for subset in columns]
+            assert oracle._subset_keys(N, k, columns) == (columns, masks)
+            free = [0] * len(columns)
+            for vec in build_Vk_basis(N, k):
+                weight = rng.randint(-3, 3)
+                free = [x + weight * vec.coord(subset) for x, subset in zip(free, columns)]
+            free, _ = linalg.over_common_denominator(free)
+            bumped = list(free)
+            bumped[rng.randrange(len(columns))] += rng.choice([-2, -1, 1, 2])
+            arbitrary = [rng.choice([0, 0, rng.randint(-4, 4)]) for _ in columns]
+            for values in (free, bumped, arbitrary):
+                coords = dict(zip(columns, values))
+                expected = reference_faces_cancel(coords, k)
+                assert oracle._faces_cancel(masks, values) == expected, (N, k, values)
+                outcomes[expected] += 1
+                if expected:
+                    VkVector(N, k, coords)
+                else:
+                    with pytest.raises(ValueError, match="divergence"):
+                        VkVector(N, k, coords)
+            assert reference_faces_cancel(dict(zip(columns, free)), k)
+        assert outcomes[True] > 300 and outcomes[False] > 200
+
     def test_rejects_repeated_subset(self):
         coords = {(1, 3): 1, (1, 4): -1, (2, 3): -1, (2, 4): 1, (3, 1): 0}
         with pytest.raises(ValueError, match=r"\(1, 3\)"):
@@ -353,6 +470,14 @@ class TestBasis:
             for k in range(N // 2 + 1):
                 expected = binom(N, k) - binom(N, k - 1)
                 assert len(build_Vk_basis(N, k)) == expected, (N, k)
+
+    def test_vectors_match_the_constructor(self):
+        """Each basis vector equals VkVector built from its kernel vector."""
+        for N in range(1, 7):
+            for k in range(N // 2 + 1):
+                columns, kernel = raw_kernel(N, k)
+                expected = [VkVector(N, k, dict(zip(columns, vec))) for vec in kernel]
+                assert build_Vk_basis(N, k) == expected, (N, k)
 
     def test_degree_zero_vector(self):
         (vec,) = build_Vk_basis(5, 0)
@@ -409,6 +534,32 @@ class TestInvariants:
                     table = coeff_table_from_invariant(vec, n)
                     assert check_difference_equation(table), (n, k)
 
+    def test_vectors_match_the_constructor(self):
+        """At blocks <= 4, each invariant vector equals VkVector built from
+        its table's value at every subset, item for item."""
+        for n in small_triples(4):
+            for k in range(n.N // 2 + 1):
+                labelled = point_labels(n, k)
+                tables = oracle._invariant_tables(n, k)
+                vectors = invariants_in_Vk(n, k)
+                assert len(vectors) == len(tables), (n, k)
+                for vec, table in zip(vectors, tables):
+                    expected = VkVector(n.N, k, {subset: table.get(*uv) for subset, uv in labelled})
+                    assert vec == expected, (n, k)
+                    assert list(vec.items()) == list(expected.items())
+                    assert all(type(x) is Fraction for _, x in vec.items())
+
+    def test_orbit_rows_match_tuple_faces(self):
+        """The frame's bitmask face count against the tuple-face loop: the
+        same orbit sizes and distinct rows at every (n, k), blocks <= 4."""
+        compared = 0
+        for n in small_triples(4):
+            for k in range(n.N // 2 + 1):
+                frame = oracle._orbit_frame(n, k)
+                assert (frame.sizes, frame.divergence) == reference_orbit_rows(n, k), (n, k)
+                compared += 1
+        assert compared == 288
+
     def test_table_rejects_non_constant_vector(self):
         n = BlockTriple(2, 2, 2)
         vec = VkVector(6, 1, {(1,): 1, (2,): -1})
@@ -436,6 +587,21 @@ class TestInvariants:
         for k in range(n.N // 2 + 1):
             for vec in invariants_in_Vk(n, k):
                 assert project_to_invariant(vec, n) == vec
+
+    def test_projection_matches_the_constructor(self):
+        """The projection equals VkVector built from the orbit means."""
+        cases = [(BlockTriple(2, 2, 2), vec) for vec in build_Vk_basis(6, 2)]
+        n = BlockTriple(2, 1, 2)
+        cases += [(n, vec) for k in range(n.N // 2 + 1) for vec in invariants_in_Vk(n, k)]
+        cases.append((BlockTriple(2, 2, 2), VkVector(6, 1, {(1,): 1, (2,): -1})))
+        for n, vec in cases:
+            labelled = point_labels(n, vec.k)
+            orbits = {}
+            for subset, uv in labelled:
+                orbits.setdefault(uv, []).append(vec.coord(subset))
+            means = {uv: sum(values) / len(values) for uv, values in orbits.items()}
+            expected = VkVector(n.N, vec.k, {subset: means[uv] for subset, uv in labelled})
+            assert project_to_invariant(vec, n) == expected, (n, vec)
 
     def test_projection_rejects_wrong_size(self):
         vec = VkVector(4, 1, {(1,): 1, (2,): -1})
