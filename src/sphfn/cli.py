@@ -50,9 +50,21 @@ ORACLE_BOUND = click.option(
 
 
 def render(value: Fraction) -> str:
-    """Always "p/q", including "p/1"; lowest terms come from Fraction itself."""
+    """Always "p/q", including "p/1"; lowest terms come from Fraction itself.
+
+    Exact at any size: where the interpreter limits the digits of an
+    int-to-str conversion, the limit is lifted for this one and then restored.
+    """
     value = Fraction(value)
-    return f"{value.numerator}/{value.denominator}"
+    # 0 means no limit, as does an interpreter without the setting.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return f"{value.numerator}/{value.denominator}"
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def _fail(message: str, code: int):

@@ -60,19 +60,30 @@ def phi_2cycle(n: BlockTriple, k: int, pair: tuple[int, int] = (1, 2)) -> Fracti
 
     Equals the sum over the multiplicity range of the transposition
     eigenvalues ((m - na)(m - nb) - m) / (na nb); the sum telescopes into the
-    cubic-free polynomial of _phi_2cycle_ratio. Empty range gives 0.
+    cubic-free polynomial of _two_cycle_ratio. Empty range gives 0.
     """
-    return Fraction(*_phi_2cycle_ratio(n, k, pair))
+    return Fraction(*_two_cycle_ratio(*_pair_sizes(n, k, pair), k))
 
 
 def _phi_2cycle_ratio(n: BlockTriple, k: int, pair: tuple[int, int]) -> tuple[int, int]:
-    """phi_2cycle as an unreduced pair (num, den) with den > 0.
+    """phi_2cycle as an unreduced pair (num, den) with den > 0."""
+    return _two_cycle_ratio(*_pair_sizes(n, k, pair), k)
 
-    The telescoped bracket is kept over the integers as 6 times its value.
-    """
+
+def _pair_sizes(n: BlockTriple, k: int, pair: tuple[int, int]) -> tuple[int, int, int]:
+    """Check k and the pair; the sizes of the pair's blocks, then the third's."""
     check_k(n.N, k)
     a, b, c = pair_blocks(pair)
-    na, nb, nc = n.size(a), n.size(b), n.size(c)
+    sizes = n.sizes
+    return sizes[a - 1], sizes[b - 1], sizes[c - 1]
+
+
+def _two_cycle_ratio(na: int, nb: int, nc: int, k: int) -> tuple[int, int]:
+    """The 2-cycle value between blocks of sizes na and nb, the third of size nc.
+
+    An unreduced pair (num, den) with den > 0; the caller has checked k. The
+    telescoped bracket is kept over the integers as 6 times its value.
+    """
     m_lower = max(0, k - nc)
     m_upper = min(na, nb, k, na + nb - k)
     if m_lower > m_upper:
@@ -155,15 +166,20 @@ def _phi_3cycle_redundant(n: BlockTriple, k: int) -> Fraction:
 
 
 def _power_sums(lower: int, upper: int) -> tuple[int, int, int, int]:
-    """Sums of m^0, m^1, m^2, m^3 over lower <= m <= upper, for lower >= 0."""
+    """Sums of m^0, m^1, m^2, m^3 over lower <= m <= upper, for lower >= 0.
 
-    def prefix(x: int) -> tuple[int, int, int, int]:
-        # Sums over 0 <= m <= x; every one is 0 at x = -1.
-        s1 = x * (x + 1) // 2
-        return x + 1, s1, s1 * (2 * x + 1) // 3, s1 * s1
-
-    top, bottom = prefix(upper), prefix(lower - 1)
-    return tuple(t - b for t, b in zip(top, bottom))
+    Each is a prefix sum over 0 <= m <= upper less one over 0 <= m < lower:
+    with t = upper (upper + 1) / 2 and b = (lower - 1) lower / 2, the squares
+    give (t (2 upper + 1) - b (2 lower - 1)) / 3 and the cubes t^2 - b^2.
+    """
+    t = upper * (upper + 1) // 2
+    b = (lower - 1) * lower // 2
+    return (
+        upper - lower + 1,
+        t - b,
+        (t * (2 * upper + 1) - b * (2 * lower - 1)) // 3,
+        t * t - b * b,
+    )
 
 
 def phi_3cycle(n: BlockTriple, k: int) -> Fraction:

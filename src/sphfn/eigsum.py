@@ -10,13 +10,14 @@ A, and the factorials of the block sizes in A, weighted by (-kappa)^(|A|-1).
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .characters import dim_two_row, multiplicity
-from .closed_form import SphericalQuery, _phi_2cycle_ratio, _phi_3cycle_ratio, phi_closed_form
+from .closed_form import SphericalQuery, _phi_3cycle_ratio, _two_cycle_ratio, phi_closed_form
 from .core import BlockTriple, check_k, complete_homogeneous
 
 __all__ = [
@@ -30,9 +31,24 @@ __all__ = [
 ]
 
 
+def _check_order(p: int) -> None:
+    """Reject an operator power that is not an int >= 1 (a bool is not)."""
+    if type(p) is not int:
+        raise ValueError(f"p must be an int, got {p!r}")
+    if p < 1:
+        raise ValueError(f"need p >= 1, got {p}")
+
+
+# Block sizes repeat across calls. The factorial of a block of size s holds
+# about s log2(s) bits: all sizes up to 1,024 together take 0.70 MB.
+@functools.lru_cache(maxsize=1024)
+def _factorial(size: int) -> int:
+    return math.factorial(size)
+
+
 @dataclass(frozen=True)
 class DegreeTriple:
-    """Strictly decreasing nonnegative degrees per block plus the coupling."""
+    """Strictly decreasing nonnegative int degrees per block plus the coupling."""
 
     d1: int
     d2: int
@@ -40,6 +56,8 @@ class DegreeTriple:
     kappa: Fraction = Fraction(0)
 
     def __post_init__(self):
+        if [*map(type, self.degrees)] != [int] * 3:
+            raise ValueError(f"degrees must be ints, got {self.degrees!r}")
         if not self.d1 > self.d2 > self.d3 >= 0:
             raise ValueError(f"need d1 > d2 > d3 >= 0, got {(self.d1, self.d2, self.d3)}")
         object.__setattr__(self, "kappa", Fraction(self.kappa))
@@ -89,34 +107,39 @@ def eigenvalue_sum(n: BlockTriple, d: DegreeTriple, k: int, p: int) -> Fraction:
     over one common denominator of the Phi values (c_123 = 0 when p = 1) and
     combined with the factorials f_i = n_i! in Horner form,
     f1 (c1 + f2 (c12 + f3 c123) + f3 c13) + f2 (c2 + f3 c23) + f3 c3,
-    so that one Fraction is built at the end. Each Phi comes from the
-    integer kernels behind phi_identity, phi_2cycle and phi_3cycle, which
-    keep the 3-cycle self-check; eigenvalue_sum_recheck takes the other
-    route, through SphericalQuery and phi_closed_form.
+    so that one Fraction is built at the end. The block sizes are unpacked
+    and k is checked once; the factorials come from a bounded cache
+    (_factorial). The Phi values come from the integer kernels that
+    phi_2cycle and phi_3cycle share: _two_cycle_ratio on the sizes of each
+    pair, with the third block last, and _phi_3cycle_ratio, which keeps the
+    3-cycle self-check. eigenvalue_sum_recheck takes the other route,
+    through SphericalQuery and phi_closed_form.
     """
-    if p < 1:
-        raise ValueError(f"need p >= 1, got {p}")
-    check_k(n.N, k)
+    _check_order(p)
+    n1, n2, n3 = n.sizes
+    N = n1 + n2 + n3
+    check_k(N, k)
     P, q = d.kappa.numerator, d.kappa.denominator
-    a1, a2, a3 = q * d.d1 + P * (n.n2 + n.n3), q * d.d2 + P * n.n3, q * d.d3
-    f1, f2, f3 = (math.factorial(size) for size in n.sizes)
+    a1, a2, a3 = q * d.d1 + P * (n2 + n3), q * d.d2 + P * n3, q * d.d3
+    f1, f2, f3 = _factorial(n1), _factorial(n2), _factorial(n3)
     phi1 = multiplicity(n, k)
-    n12, d12 = _phi_2cycle_ratio(n, k, (1, 2))
-    n13, d13 = _phi_2cycle_ratio(n, k, (1, 3))
-    n23, d23 = _phi_2cycle_ratio(n, k, (2, 3))
+    n12, d12 = _two_cycle_ratio(n1, n2, n3, k)
+    n13, d13 = _two_cycle_ratio(n1, n3, n2, k)
+    n23, d23 = _two_cycle_ratio(n2, n3, n1, k)
     if p >= 2:
         n123, d123 = _phi_3cycle_ratio(n, k)
         h123 = complete_homogeneous((a1, a2, a3), p - 2)
     else:  # no 3-cycle term
         n123, d123, h123 = 0, 1, 0
     common = math.lcm(d12, d13, d23, d123)
-    c1, c2, c3 = (common * phi1 * a**p for a in (a1, a2, a3))
+    c = common * phi1
+    c1, c2, c3 = c * a1**p, c * a2**p, c * a3**p
     c12 = -P * complete_homogeneous((a1, a2), p - 1) * n12 * (common // d12)
     c13 = -P * complete_homogeneous((a1, a3), p - 1) * n13 * (common // d13)
     c23 = -P * complete_homogeneous((a2, a3), p - 1) * n23 * (common // d23)
     c123 = P * P * h123 * n123 * (common // d123)
     total = f1 * (c1 + f2 * (c12 + f3 * c123) + f3 * c13) + f2 * (c2 + f3 * c23) + f3 * c3
-    return Fraction(dim_two_row(n.N, k) * total, common * q**p)
+    return Fraction(dim_two_row(N, k) * total, common * q**p)
 
 
 def _h_by_enumeration(values, degree: int) -> Fraction:

@@ -2,6 +2,8 @@ import csv
 import io
 import json
 import random
+import sys
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
@@ -9,11 +11,43 @@ from click.testing import CliRunner
 import sphfn.closed_form
 import sphfn.verify
 from sphfn.cli import main, render
+from sphfn.core import BlockTriple
+from sphfn.eigsum import DegreeTriple, eigenvalue_sum, kappa_zero_diagnostic
 
 
 @pytest.fixture
 def runner():
     return CliRunner()
+
+
+@pytest.fixture
+def digit_limit():
+    """The default int-to-str digit limit, where the interpreter has one.
+
+    Yields a function that renders an int whatever the limit, for building
+    expected strings.
+    """
+    if not hasattr(sys, "get_int_max_str_digits"):
+        yield str
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+
+    def unlimited_str(value: int) -> str:
+        sys.set_int_max_str_digits(0)
+        try:
+            return str(value)
+        finally:
+            sys.set_int_max_str_digits(4300)
+
+    try:
+        yield unlimited_str
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def exact_text(value: Fraction, to_str) -> str:
+    return f"{to_str(value.numerator)}/{to_str(value.denominator)}"
 
 
 class TestRender:
@@ -24,6 +58,22 @@ class TestRender:
         assert render(Fraction(-1)) == "-1/1"
         assert render(Fraction(2, 4)) == "1/2"
         assert render(Fraction(5, -10)) == "-1/2"
+
+    def test_values_past_the_digit_limit(self, digit_limit):
+        """Numerators and denominators of 5,000 digits print exactly, and the
+        interpreter's limit is what it was before."""
+        value = Fraction(10**5000 + 7, 3 * 10**4999 + 1)
+        before = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        text = render(value)
+        assert text == exact_text(value, digit_limit)
+        assert len(text) == 5001 + 1 + 5000
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == before
+
+    def test_interpreter_without_a_limit(self, monkeypatch):
+        for name in ("get_int_max_str_digits", "set_int_max_str_digits"):
+            monkeypatch.delattr(sys, name, raising=False)
+        assert render(Fraction(-3, 6)) == "-1/2"
+        assert render(Fraction(10**50)) == f"{10**50}/1"
 
 
 class TestCompute:
@@ -308,6 +358,33 @@ class TestEigsum:
         )
         assert result.exit_code == 0, result.output
         assert json.loads(result.output)["diagnostic"]["agree"] is True
+
+
+class TestLargeTraceSums:
+    ARGS = [
+        "eigsum", "--n", "700,700,700", "--k", "10", "--d", "3,2,1",
+        "--kappa", "1", "--order", "2",
+    ]
+    N, D, K, P = BlockTriple(700, 700, 700), DegreeTriple(3, 2, 1, 1), 10, 2
+
+    def test_value_past_the_digit_limit(self, runner, digit_limit):
+        """The value has over 5,000 digits; it prints exactly, exit 0."""
+        result = runner.invoke(main, self.ARGS)
+        assert result.exit_code == 0, result.output
+        record = json.loads(result.output)
+        expected = eigenvalue_sum(self.N, self.D, self.K, self.P)
+        assert len(digit_limit(expected.numerator)) > 4300
+        assert record["value"] == exact_text(expected, digit_limit)
+
+    def test_diagnostic_past_the_digit_limit(self, runner, digit_limit):
+        result = runner.invoke(main, self.ARGS + ["--diagnose"])
+        assert result.exit_code == 0, result.output
+        diagnostic = kappa_zero_diagnostic(self.N, self.D, self.K, self.P)
+        assert json.loads(result.output)["diagnostic"] == {
+            "formula": exact_text(diagnostic.formula, digit_limit),
+            "reference": exact_text(diagnostic.reference, digit_limit),
+            "agree": diagnostic.agree,
+        }
 
 
 class TestSelfCheckFailure:

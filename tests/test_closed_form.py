@@ -12,6 +12,8 @@ from sphfn.closed_form import (
     _phi_2cycle_ratio,
     _phi_3cycle_ratio,
     _phi_3cycle_redundant,
+    _power_sums,
+    _two_cycle_ratio,
     _xi_ratio,
     g3_diagonal_coeff,
     phi_2cycle,
@@ -270,6 +272,24 @@ class TestIntegerKernels:
     @given(triple_and_k())
     def test_ratios_give_the_public_values_at_real_sizes(self, query):
         self.check_ratios(*query)
+
+    def test_two_cycle_kernel_on_permuted_sizes(self):
+        """The kernel takes the pair's sizes in either order, then the third."""
+        for n in small_triples(8):
+            for k in range(n.N // 2 + 1):
+                for pair in PAIRS:
+                    (c,) = {1, 2, 3} - set(pair)
+                    a, b = pair
+                    expected = _phi_2cycle_ratio(n, k, pair)
+                    for x, y in ((a, b), (b, a)):
+                        sizes = (n.size(x), n.size(y), n.size(c))
+                        assert _two_cycle_ratio(*sizes, k) == expected, (n, k, pair, x)
+
+    def test_power_sums_match_direct_sums(self):
+        for lower in range(61):
+            for upper in range(lower, 61):
+                expected = tuple(sum(m**e for m in range(lower, upper + 1)) for e in range(4))
+                assert _power_sums(lower, upper) == expected, (lower, upper)
 
     def test_xi_ratio_denominator_is_positive_up_to_the_range_top(self):
         for n in small_triples(4):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import sphfn.eigsum
 from sphfn.characters import dim_two_row, multiplicity
 from sphfn.core import BlockTriple, complete_homogeneous
 from sphfn.eigsum import (
@@ -35,6 +37,22 @@ class TestDegreeTriple:
     def test_rejects_bad_degrees(self, degrees):
         with pytest.raises(ValueError):
             DegreeTriple(*degrees)
+
+    @pytest.mark.parametrize(
+        "degrees, message",
+        [
+            ((2.5, 1, 0), "degrees must be ints, got (2.5, 1, 0)"),
+            ((2, 1.0, 0), "degrees must be ints, got (2, 1.0, 0)"),
+            ((2, True, 0), "degrees must be ints, got (2, True, 0)"),
+            ((2, 1, False), "degrees must be ints, got (2, 1, False)"),
+            (("2", 1, 0), "degrees must be ints, got ('2', 1, 0)"),
+            ((Fraction(2), 1, 0), "degrees must be ints, got (Fraction(2, 1), 1, 0)"),
+        ],
+    )
+    def test_rejects_degrees_that_are_not_ints(self, degrees, message):
+        with pytest.raises(ValueError) as excinfo:
+            DegreeTriple(*degrees, 1)
+        assert str(excinfo.value) == message
 
     def test_kappa_becomes_exact(self):
         d = DegreeTriple(2, 1, 0, "1/3")
@@ -105,6 +123,24 @@ class TestEigenvalueSum:
             eigenvalue_sum(n, d, 1, 0)
         with pytest.raises(ValueError):
             eigenvalue_sum_recheck(n, d, 1, 0)
+
+    @pytest.mark.parametrize(
+        "p, message",
+        [
+            (2.0, "p must be an int, got 2.0"),
+            (True, "p must be an int, got True"),
+            (Fraction(2), "p must be an int, got Fraction(2, 1)"),
+            ("2", "p must be an int, got '2'"),
+            (0, "need p >= 1, got 0"),
+            (-3, "need p >= 1, got -3"),
+        ],
+    )
+    def test_rejects_powers_that_are_not_positive_ints(self, p, message):
+        n, d = BlockTriple(2, 3, 4), DegreeTriple(2, 1, 0, 1)
+        for evaluate in (eigenvalue_sum, kappa_zero_diagnostic):
+            with pytest.raises(ValueError) as excinfo:
+                evaluate(n, d, 2, p)
+            assert str(excinfo.value) == message
 
     def test_pinned_value(self):
         n = BlockTriple(1, 1, 1)
@@ -192,6 +228,46 @@ class TestEigenvalueSum:
             (-1) ** j * math.comb(order, j) * values[order - j] for j in range(order + 1)
         )
         assert difference == 0
+
+
+class TestFactorialCache:
+    """The block factorials come from a bounded cache; a value never depends
+    on what it holds."""
+
+    KAPPAS = (0, 1, Fraction(-1, 2), Fraction(7, 3))
+
+    @staticmethod
+    def cases():
+        for n in small_triples(4):
+            for k in range(n.N // 2 + 1):
+                for kappa in TestFactorialCache.KAPPAS:
+                    for p in range(1, 5):
+                        yield n, DegreeTriple(4, 2, 1, kappa), k, p
+
+    def test_cache_is_bounded(self):
+        assert sphfn.eigsum._factorial.cache_info().maxsize is not None
+
+    def test_cleared_cache(self):
+        for case in self.cases():
+            sphfn.eigsum._factorial.cache_clear()
+            assert eigenvalue_sum(*case) == eigenvalue_sum_recheck(*case), case
+
+    def test_warm_cache(self):
+        cases = list(self.cases())
+        for case in cases:
+            eigenvalue_sum(*case)
+        hits = sphfn.eigsum._factorial.cache_info().hits
+        for case in cases:
+            assert eigenvalue_sum(*case) == eigenvalue_sum_recheck(*case), case
+        assert sphfn.eigsum._factorial.cache_info().hits == hits + 3 * len(cases)
+
+    def test_one_entry_cache(self, monkeypatch):
+        one_entry = functools.lru_cache(maxsize=1)(math.factorial)
+        monkeypatch.setattr(sphfn.eigsum, "_factorial", one_entry)
+        for case in self.cases():
+            assert eigenvalue_sum(*case) == eigenvalue_sum_recheck(*case), case
+        assert one_entry.cache_info().currsize == 1
+        assert one_entry.cache_info().misses > 0
 
 
 class TestKappaZeroDiagnostic:
