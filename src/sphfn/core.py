@@ -3,8 +3,8 @@
 Every scalar in this package is a :class:`fractions.Fraction` (or a plain int
 where the value is known to be integral); no floating point appears anywhere.
 
-This module also owns the input rules every value is indexed by: block sizes
-n_j >= 1 (check_sizes), a two-row shape [N - k, k] with 0 <= 2k <= N
+This module also owns the input rules every value is indexed by: int block
+sizes n_j >= 1 (check_sizes), a two-row shape [N - k, k] with 0 <= 2k <= N
 (check_k), a pair of distinct blocks (pair_blocks) and a cycle through a
 nonempty set of blocks (cycle_blocks). Other modules call these rather than
 restate a rule; only the CLI words the cycle rule again, to quote its input.
@@ -42,7 +42,10 @@ def check_k(N: int, k: int) -> None:
 
 
 def check_sizes(sizes: tuple[int, ...]) -> None:
-    """Reject block sizes below 1."""
+    """Reject block sizes that are not ints (a bool is not) or are below 1."""
+    for size in sizes:
+        if type(size) is not int:
+            raise ValueError(f"block sizes must be ints, got {sizes!r}")
     if min(sizes) < 1:
         raise ValueError(f"block sizes must be >= 1, got {sizes}")
 

@@ -157,8 +157,7 @@ def eigenvalue_sum_recheck(n: BlockTriple, d: DegreeTriple, k: int, p: int) -> F
     monomial enumeration rather than the recurrence; transcription slips in
     either path would break the exact agreement with eigenvalue_sum.
     """
-    if p < 1:
-        raise ValueError(f"need p >= 1, got {p}")
+    _check_order(p)
     sd = shifted_degrees(d, n)
     total = Fraction(0)
     for A in (

@@ -7,10 +7,9 @@ Two oracles, independent of each other and of the Hahn machinery:
   most one moved point per block, it counts the coset's cycle types class by
   class, block by block; for any other representative it enumerates the
   coset, straight from the definition. A class count depends only on the
-  multiset of (block size, marked) pairs, so one unbounded cache holds one
-  histogram per multiset, keyed by the sorted pairs. Each histogram checks
-  once that its cycle types share one weight, and each average checks the
-  shape against it once;
+  multiset of (block size, marked) pairs. Each histogram checks once that
+  its cycle types share one weight, and every average checks the shape's
+  weight against it;
 * the module oracle realizes the irreducible module inside the space spanned
   by squarefree degree-k monomials, cut out by the vanishing of the divergence,
   and takes the trace of project-then-translate on its invariant vectors.
@@ -19,11 +18,25 @@ Both refuse to run past a size bound: the subgroup order n1! n2! n3! for the
 character oracle, C(N, k) for the module oracle. They exist to be right, not
 fast.
 
-One bounded cache (the 512 most recent (n, k)) holds what does not depend
-on the permutation, the module oracle's orbit frame: its labels, orbit
-sizes and distinct divergence rows, and the invariant basis, the nullspace
-of those rows, shared by the five cycles of one (n, k) and invariants_in_Vk.
-A call of the module oracle then counts how g moves subsets between orbits and
+The caches; no value depends on what they hold:
+
+* _block_options, unbounded, keyed by (block size, marked): a block's class
+  options, the (merged length, cycle lengths, count) triples;
+* _partition, unbounded, keyed by parts tuple: one Partition per cycle type,
+  validated when first built;
+* _class_type_counts, unbounded, keyed by the sorted (size, marked) pairs:
+  one histogram per block multiset;
+* _coset_type_counts, unbounded, keyed by (block sizes, images of g), and
+  _two_factor_type_counts, unbounded, keyed by (n1, n2): a coset's
+  histogram, class-counted histograms shared through _class_type_counts;
+* Histogram.sums, one dict on each histogram, keyed by the parts of the
+  shape: the sum of count * chi over the histogram, taken once per shape;
+* _orbit_frame, bounded (the 512 most recent (n, k)), keyed by (n, k): the
+  module oracle's orbit frame, its labels, orbit sizes and distinct
+  divergence rows, and the invariant basis, the nullspace of those rows,
+  shared by the five cycles of one (n, k) and invariants_in_Vk.
+
+A call of the module oracle counts how g moves subsets between orbits and
 reads the trace off the reduced basis, with no linear solve. Caching skips
 no check: every call still checks each basis table and each projected image
 for divergence and for lying in the basis's span, and every VkVector handed
@@ -82,13 +95,28 @@ class OracleBoundExceeded(Exception):
     """Raised when a brute-force enumeration would exceed the configured bound."""
 
 
-Histogram = tuple[tuple[Partition, int], ...]
+class Histogram(tuple):
+    """Cycle-type counts as (Partition, count) pairs in parts order.
+
+    Compared, hashed and iterated as the tuple of its pairs. It also keeps
+    its character sums, the sum of count * chi^lam over its pairs, keyed by
+    the parts lam of the shape; _coset_average takes each sum once.
+    """
+
+    def __new__(cls, pairs: Iterable[tuple[Partition, int]]) -> "Histogram":
+        histogram = super().__new__(cls, pairs)
+        histogram.sums = {}
+        return histogram
+
+
+# One Partition per cycle type; a parts tuple is validated when first built.
+_partition = functools.lru_cache(maxsize=None)(Partition)
 
 
 def _histogram(counts: Counter) -> Histogram:
     """Cycle-type counts keyed by parts, as (Partition, count) pairs in parts
     order; every cycle type must have the same weight."""
-    histogram = tuple((Partition(parts), count) for parts, count in sorted(counts.items()))
+    histogram = Histogram((_partition(parts), count) for parts, count in sorted(counts.items()))
     if len({mu.weight for mu, _ in histogram}) != 1:
         raise ValueError("cycle types of one coset differ in weight")
     return histogram
@@ -110,6 +138,23 @@ def _enumerated_type_counts(sizes: tuple[int, ...], g_images: tuple[int, ...]) -
 
 
 @functools.lru_cache(maxsize=None)
+def _block_options(m: int, marked: bool) -> tuple[tuple[int, tuple[int, ...], int], ...]:
+    """The (merged length L, parts of nu, number of h) choices in one block.
+
+    In a marked block of size m, (m-1)!/z_nu permutations put the marked
+    point on an L-cycle and give the other points the type nu of m - L; in an
+    unmarked block, m!/z_nu permutations have the type nu of m, and L = 0.
+    """
+    if marked:
+        return tuple(
+            (L, nu.parts, math.factorial(m - 1) // centralizer_order(nu))
+            for L in range(1, m + 1)
+            for nu in partitions(m - L)
+        )
+    return tuple((0, nu.parts, math.factorial(m) // centralizer_order(nu)) for nu in partitions(m))
+
+
+@functools.lru_cache(maxsize=None)
 def _class_type_counts(blocks: tuple[tuple[int, bool], ...]) -> Histogram:
     """Cycle-type histogram of {g h : h in the block subgroup}, by class counting.
 
@@ -117,26 +162,14 @@ def _class_type_counts(blocks: tuple[tuple[int, bool], ...]) -> Histogram:
     multiset. Here g is the identity or one cycle through one point of each
     marked block. The cycle type of g h is that of h, except that the
     h-cycles through g's moved points merge into one, whose length is their
-    sum. In a marked block of size m, (m-1)!/z_nu permutations put the marked
-    point on an L-cycle and give the other points the type nu of m - L; in an
-    unmarked block, m!/z_nu permutations have the type nu of m. The count is
-    a product over blocks and the merged lengths add, so block order does not
+    sum. Each block's choices come from _block_options. The count is a
+    product over blocks and the merged lengths add, so block order does not
     matter.
     """
     # (merged length, other cycle lengths) -> number of h, one block at a time
     states: Counter = Counter({(0, ()): 1})
     for m, is_marked in blocks:
-        if is_marked:
-            options = [
-                (L, nu.parts, math.factorial(m - 1) // centralizer_order(nu))
-                for L in range(1, m + 1)
-                for nu in partitions(m - L)
-            ]
-        else:
-            options = [
-                (0, nu.parts, math.factorial(m) // centralizer_order(nu))
-                for nu in partitions(m)
-            ]
+        options = _block_options(m, is_marked)
         grown: Counter = Counter()
         for (merged, rest), count in states.items():
             for L, parts, ways in options:
@@ -184,13 +217,15 @@ def _check_order(sizes: tuple[int, ...], bound: int) -> int:
 def _coset_average(shape: Partition, histogram: Histogram, order: int) -> Fraction:
     """The character of shape summed over a coset's cycle types, over its size.
 
-    The histogram's cycle types share one weight, so one check covers them.
+    The histogram's cycle types share one weight, so one check covers them;
+    it runs on every call. The sum at each shape is taken once and kept on
+    the histogram.
     """
     _check_weights(shape, histogram[0][0])
     lam = shape.parts
-    total = 0
-    for mu, count in histogram:
-        total += count * _mn(lam, mu.parts)
+    total = histogram.sums.get(lam)
+    if total is None:
+        total = histogram.sums[lam] = sum(count * _mn(lam, mu.parts) for mu, count in histogram)
     return Fraction(total, order)
 
 

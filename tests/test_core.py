@@ -236,6 +236,20 @@ RULE_CASES = (
                      id="phi_2cycle_two_factor"),
         pytest.param(lambda: two_factor_character_oracle(1, 0, 0),
                      "block sizes must be >= 1, got (1, 0)", id="two_factor_character_oracle"),
+        pytest.param(lambda: BlockTriple(2.0, 3, 4), "block sizes must be ints, got (2.0, 3, 4)",
+                     id="BlockTriple-float"),
+        pytest.param(lambda: BlockTriple(True, 1, 1), "block sizes must be ints, got (True, 1, 1)",
+                     id="BlockTriple-bool"),
+        pytest.param(lambda: BlockTriple(1, 2, "3"), "block sizes must be ints, got (1, 2, '3')",
+                     id="BlockTriple-str"),
+        pytest.param(lambda: phi_2cycle_two_factor(2.0, 3, 1),
+                     "block sizes must be ints, got (2.0, 3)", id="phi_2cycle_two_factor-float"),
+        pytest.param(lambda: phi_2cycle_two_factor(1, True, 0),
+                     "block sizes must be ints, got (1, True)", id="phi_2cycle_two_factor-bool"),
+        pytest.param(lambda: two_factor_character_oracle(2.0, 3, 1),
+                     "block sizes must be ints, got (2.0, 3)", id="two_factor_character_oracle-float"),
+        pytest.param(lambda: two_factor_character_oracle(True, 1, 0),
+                     "block sizes must be ints, got (True, 1)", id="two_factor_character_oracle-bool"),
         pytest.param(lambda: phi_2cycle(TINY, 1, (1, 1)),
                      "pair must be two distinct blocks, got (1, 1)", id="phi_2cycle"),
         pytest.param(lambda: apply_rho_g2(CoeffTable(TINY, 1, {}), (1, 1)),

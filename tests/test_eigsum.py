@@ -142,6 +142,21 @@ class TestEigenvalueSum:
                 evaluate(n, d, 2, p)
             assert str(excinfo.value) == message
 
+    @pytest.mark.parametrize(
+        "p, message",
+        [
+            (2.0, "p must be an int, got 2.0"),
+            (True, "p must be an int, got True"),
+            (Fraction(2), "p must be an int, got Fraction(2, 1)"),
+            (0, "need p >= 1, got 0"),
+        ],
+    )
+    def test_recheck_rejects_powers_that_are_not_positive_ints(self, p, message):
+        """The independent path takes its powers through the same rule."""
+        with pytest.raises(ValueError) as excinfo:
+            eigenvalue_sum_recheck(BlockTriple(2, 3, 4), DegreeTriple(2, 1, 0, 1), 2, p)
+        assert str(excinfo.value) == message
+
     def test_pinned_value(self):
         n = BlockTriple(1, 1, 1)
         assert eigenvalue_sum(n, DegreeTriple(2, 1, 0, 1), 1, 2) == 78

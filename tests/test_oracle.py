@@ -2,13 +2,14 @@ import functools
 import itertools
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from sphfn import linalg, oracle
-from sphfn.characters import mn_character, multiplicity, two_row
+from sphfn.characters import _check_weights, _mn, centralizer_order, mn_character, multiplicity, two_row
 from sphfn.closed_form import (
     SphericalQuery,
     phi_2cycle,
@@ -23,6 +24,7 @@ from sphfn.core import (
     binom,
     cycle_type,
     embed_cycle,
+    partitions,
     young_subgroup_elements,
 )
 from sphfn.hahn import CoeffTable, admissible_grid
@@ -161,6 +163,64 @@ def action_trace(basis, g):
         rhs = [vec.apply(g).coord(subset) for subset in subsets]
         trace += linalg.solve(matrix, rhs)[i]
     return trace
+
+
+def reference_block_options(m, is_marked):
+    """A block's class options, built inline as _class_type_counts once did."""
+    if is_marked:
+        options = [
+            (L, nu.parts, math.factorial(m - 1) // centralizer_order(nu))
+            for L in range(1, m + 1)
+            for nu in partitions(m - L)
+        ]
+    else:
+        options = [
+            (0, nu.parts, math.factorial(m) // centralizer_order(nu))
+            for nu in partitions(m)
+        ]
+    return options
+
+
+def reference_class_type_counts(blocks):
+    """The class count with inline options and a fresh Partition per entry:
+    the former _class_type_counts body, then the former _histogram."""
+    states = Counter({(0, ()): 1})
+    for m, is_marked in blocks:
+        options = reference_block_options(m, is_marked)
+        grown = Counter()
+        for (merged, rest), count in states.items():
+            for L, parts, ways in options:
+                grown[merged + L, tuple(sorted(rest + parts, reverse=True))] += count * ways
+        states = grown
+    counts = Counter()
+    for (merged, rest), count in states.items():
+        parts = rest + (merged,) if merged else rest
+        counts[tuple(sorted(parts, reverse=True))] += count
+    histogram = tuple((Partition(parts), count) for parts, count in sorted(counts.items()))
+    if len({mu.weight for mu, _ in histogram}) != 1:
+        raise ValueError("cycle types of one coset differ in weight")
+    return histogram
+
+
+def reference_coset_average(shape, histogram, order):
+    """The former _coset_average: the character summed entry by entry, every call."""
+    _check_weights(shape, histogram[0][0])
+    lam = shape.parts
+    total = 0
+    for mu, count in histogram:
+        total += count * _mn(lam, mu.parts)
+    return Fraction(total, order)
+
+
+def clear_character_caches():
+    for cache in (
+        oracle._block_options,
+        oracle._partition,
+        _class_type_counts,
+        _coset_type_counts,
+        _two_factor_type_counts,
+    ):
+        cache.cache_clear()
 
 
 class TestCharacterOracle:
@@ -313,6 +373,100 @@ class TestClassCounting:
             assert all(isinstance(mu, Partition) and mu.weight == N for mu, _ in histogram)
             keys = [mu.parts for mu, _ in histogram]
             assert keys == sorted(set(keys))
+
+
+class TestCharacterOracleCaches:
+    """The option, Partition and character-sum caches against the references."""
+
+    @staticmethod
+    def reference_values(max_block):
+        """(n, cycle, k) -> (reference histogram, reference average)."""
+        histograms, averages, values = {}, {}, {}
+        for n in small_triples(max_block):
+            order = math.prod(map(math.factorial, n.sizes))
+            for cycle in CYCLES:
+                key = tuple(sorted((m, b in cycle) for b, m in enumerate(n.sizes, 1)))
+                if key not in histograms:
+                    histograms[key] = reference_class_type_counts(key)
+                for k in range(n.N // 2 + 1):
+                    if (key, k) not in averages:
+                        averages[key, k] = reference_coset_average(two_row(n.N, k), histograms[key], 1)
+                    values[n, cycle, k] = histograms[key], averages[key, k] / order
+        return values
+
+    @staticmethod
+    def assert_matches(values, order):
+        bound = math.factorial(6) ** 3
+        for n, cycle, k in order:
+            histogram, average = values[n, cycle, k]
+            g = embed_cycle(cycle, n)
+            assert _coset_type_counts(n.sizes, g.images) == histogram, (n, cycle)
+            assert phi_character_oracle(n, k, g, bound) == average, (n, cycle, k)
+
+    def test_matches_references_to_block_six(self):
+        values = self.reference_values(6)
+        forward = list(values)
+        clear_character_caches()
+        self.assert_matches(values, forward)  # caches filled as the sweep goes
+        self.assert_matches(values, forward)  # every cache warm
+        clear_character_caches()
+        self.assert_matches(values, forward[::-1])  # filled in another order
+        self.assert_matches(values, forward)
+
+    def test_block_options_match_the_inline_lists(self):
+        oracle._block_options.cache_clear()
+        for m in range(1, 9):
+            for marked in (False, True):
+                assert list(oracle._block_options(m, marked)) == reference_block_options(m, marked)
+        assert oracle._block_options.cache_info().currsize == 16
+
+    def test_two_factor_matches_references(self):
+        clear_character_caches()
+        for n1 in range(1, 8):
+            for n2 in range(1, 9 - n1):
+                histogram = reference_class_type_counts(tuple(sorted(((n1, True), (n2, True)))))
+                assert _two_factor_type_counts(n1, n2) == histogram, (n1, n2)
+                order = math.factorial(n1) * math.factorial(n2)
+                for k in range(min(n1, n2) + 1):
+                    expected = reference_coset_average(two_row(n1 + n2, k), histogram, order)
+                    assert two_factor_character_oracle(n1, n2, k) == expected, (n1, n2, k)
+
+    def test_sums_are_kept_per_shape(self):
+        clear_character_caches()
+        histogram = _two_factor_type_counts(3, 3)
+        averages = [two_factor_character_oracle(3, 3, k) for k in range(4)]
+        assert _two_factor_type_counts(3, 3) is histogram
+        assert histogram.sums == {
+            two_row(6, k).parts: average * 36 for k, average in enumerate(averages)
+        }
+        reference = reference_class_type_counts(((3, True), (3, True)))
+        assert averages == [reference_coset_average(two_row(6, k), reference, 36) for k in range(4)]
+
+    def test_one_partition_per_cycle_type(self):
+        clear_character_caches()
+        first = oracle._histogram(Counter({(3, 1): 2, (2, 2): 1}))
+        second = oracle._histogram(Counter({(3, 1): 4, (4,): 1}))
+        assert [mu.parts for mu, _ in first] == [(2, 2), (3, 1)]
+        assert first[1][0] is second[0][0] is oracle._partition((3, 1))
+        seen = {}
+        for n in small_triples(4):
+            for cycle in CYCLES:
+                for mu, _ in _coset_type_counts(n.sizes, embed_cycle(cycle, n).images):
+                    assert seen.setdefault(mu.parts, mu) is mu, mu
+
+    @pytest.mark.parametrize(
+        "parts, message",
+        [
+            ((1, 3), "partition parts must be weakly decreasing, got (1, 3)"),
+            ((2, 0), "partition parts must be positive, got (2, 0)"),
+        ],
+    )
+    def test_bad_parts_still_raise(self, parts, message):
+        for _ in range(2):  # a failed build is not cached
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                oracle._partition(parts)
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                oracle._histogram(Counter({parts: 1}))
 
 
 class TestTwoFactorOracle:
