@@ -65,11 +65,6 @@ def phi_2cycle(n: BlockTriple, k: int, pair: tuple[int, int] = (1, 2)) -> Fracti
     return Fraction(*_two_cycle_ratio(*_pair_sizes(n, k, pair), k))
 
 
-def _phi_2cycle_ratio(n: BlockTriple, k: int, pair: tuple[int, int]) -> tuple[int, int]:
-    """phi_2cycle as an unreduced pair (num, den) with den > 0."""
-    return _two_cycle_ratio(*_pair_sizes(n, k, pair), k)
-
-
 def _pair_sizes(n: BlockTriple, k: int, pair: tuple[int, int]) -> tuple[int, int, int]:
     """Check k and the pair; the sizes of the pair's blocks, then the third's."""
     check_k(n.N, k)
@@ -230,8 +225,10 @@ def phi_special(n: BlockTriple, k: int, cycle: tuple[int, ...] = (1, 2, 3)) -> O
 
     The two-block-sum cases have multiplicity one automatically whenever the
     query is admissible; k = N/2 does not, so that display is only offered
-    when its multiplicity-one hypothesis holds.
+    when its multiplicity-one hypothesis holds. The cycle is a set of
+    blocks, in any order, checked by core.cycle_blocks.
     """
+    cycle = cycle_blocks(cycle)
     n1, n2, n3 = n.sizes
     N = n.N
     m_lower, m_upper = m_range(n, k)

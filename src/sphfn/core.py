@@ -62,7 +62,7 @@ def pair_blocks(pair: Iterable[int]) -> tuple[int, int, int]:
 def cycle_blocks(A: Iterable[int]) -> tuple[int, ...]:
     """The blocks a cycle runs through, sorted; a nonempty subset of {1, 2, 3}."""
     blocks = tuple(sorted(set(A)))
-    if not blocks or not all(b in (1, 2, 3) for b in blocks):
+    if blocks not in {(1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3)}:
         raise ValueError(f"cycle must be a nonempty subset of {{1, 2, 3}}, got {blocks}")
     return blocks
 

@@ -5,10 +5,12 @@ elimination is fraction-free Gauss-Jordan (after Bareiss, Math. Comp. 22,
 1968, but keeping entries small by the gcd of each row rather than by exact
 division by the previous pivot): each row is scaled to integers once, a row
 is cleared by p * row - q * pivot_row and divided by the gcd of its entries,
-and the pivot rows are divided by their pivots only at the end: row_echelon
-divides every entry, nullspace only its kernel's nonzero entries. The reduced
-row echelon form is unique, so the Fractions returned are exactly those of
-plain Gauss-Jordan elimination over Fraction.
+and the pivot rows are divided by their pivots only at the end. One integer
+core, _eliminate, serves every routine: row_echelon divides every entry,
+nullspace only its kernel's nonzero entries, solve only the right-hand
+column, and rank counts the pivots. The reduced row echelon form is unique,
+so the Fractions returned are exactly those of plain Gauss-Jordan
+elimination over Fraction.
 """
 from __future__ import annotations
 
@@ -41,7 +43,7 @@ def _check_row_lengths(matrix: Sequence[Sequence], ncols: int) -> None:
 
 
 def _eliminate(matrix: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
-    """The integer core of row_echelon: rows and pivot columns.
+    """The integer core of every routine here: rows and pivot columns.
 
     Pivot row i divided by its entry at pivots[i] is row i of the reduced
     row echelon form; the rows past the pivots are zero.
@@ -80,7 +82,7 @@ def row_echelon(matrix: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
 
 
 def rank(matrix: Sequence[Sequence]) -> int:
-    return len(row_echelon(matrix)[1])
+    return len(_eliminate(matrix)[1])
 
 
 def nullspace(matrix: Sequence[Sequence], ncols: int | None = None) -> Matrix:
@@ -94,8 +96,6 @@ def nullspace(matrix: Sequence[Sequence], ncols: int | None = None) -> Matrix:
             raise ValueError("ncols is required for an empty matrix")
         ncols = len(matrix[0])
     _check_row_lengths(matrix, ncols)
-    if not matrix:
-        return [[Fraction(int(i == j)) for j in range(ncols)] for i in range(ncols)]
     m, pivots = _eliminate(matrix)
     free = [c for c in range(ncols) if c not in pivots]
     basis: Matrix = []
@@ -122,12 +122,10 @@ def solve(matrix: Sequence[Sequence], rhs: Sequence) -> list[Fraction]:
     ncols = len(matrix[0])
     _check_row_lengths(matrix, ncols)
     augmented = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    echelon, pivots = row_echelon(augmented)
+    m, pivots = _eliminate(augmented)
     if ncols in pivots:
         raise ValueError("inconsistent linear system")
     if len(pivots) < ncols:
         raise ValueError("underdetermined linear system")
-    solution = [Fraction(0)] * ncols
-    for r, c in enumerate(pivots):
-        solution[c] = echelon[r][ncols]
-    return solution
+    # Every column is a pivot, so pivot row c is x_c times its pivot.
+    return [Fraction(row[ncols], row[c]) for row, c in zip(m, pivots)]

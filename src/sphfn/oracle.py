@@ -44,9 +44,10 @@ out checks its own.
 
 Wherever faces are summed, a subset is the bitmask sum of 1 << p over its
 points, and its faces are the masks with one bit dropped. One subset rule
-checks VkVector keys; invariants_in_Vk, project_to_invariant and
-build_Vk_basis build their vectors over one shared subset list, checked once
-per call, and check each vector's divergence from its own coordinates.
+checks the keys a caller gives VkVector; the module's own vectors take
+every k-subset in lexicographic order as keys, made rather than checked,
+and each checks its divergence from its own coordinates. One orbit walk,
+_orbit_coords, serves reading a table off a vector and projecting one.
 """
 from __future__ import annotations
 
@@ -55,9 +56,10 @@ import functools
 import itertools
 import math
 import operator
+import sys
 from collections import Counter, defaultdict
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import linalg
 from .characters import _check_weights, _mn, centralizer_order, two_row
@@ -204,13 +206,34 @@ def _check_permutation(g: Permutation, n: BlockTriple) -> None:
         raise ValueError(f"permutation acts on {g.N} points, blocks cover {n.N}")
 
 
+def _decimal(factors: Iterable[int]) -> str | None:
+    """The product of the factors in decimal, or None once it passes the
+    int-to-str digit limit (4300 digits where the limit is off)."""
+    cap = 10 ** (getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300)
+    product = 1
+    for x in factors:
+        product *= x
+        if product >= cap:
+            return None
+    return str(product)
+
+
 def _check_order(sizes: tuple[int, ...], bound: int) -> int:
-    """The subgroup order, the product of the block factorials, if within bound."""
-    order = math.prod(map(math.factorial, sizes))
-    if order > bound:
-        raise OracleBoundExceeded(
-            f"subgroup order {order} exceeds bound {bound} for n = {sizes}"
-        )
+    """The subgroup order, the product of the block factorials, if within bound.
+
+    The product stops at the first block that passes the bound. A block of
+    m points with 2^(m-1) > bound passes it untaken, since m! >= 2^(m-1).
+    A refusal shows the order, or names its factorials past the digit limit.
+    """
+    order = 1
+    for m in sizes:
+        order = order * math.factorial(m) if m <= bound.bit_length() else bound + 1
+        if order > bound:
+            factors = itertools.chain.from_iterable(range(2, size + 1) for size in sizes)
+            shown = _decimal(factors) or " ".join(f"{size}!" for size in sizes)
+            raise OracleBoundExceeded(
+                f"subgroup order {shown} exceeds bound {bound} for n = {sizes}"
+            )
     return order
 
 
@@ -313,15 +336,15 @@ class VkVector:
     """A divergence-free vector in the span of squarefree degree-k monomials.
 
     Coordinates are indexed by sorted k-tuples; absent subsets read as zero.
-    Every key must pass the one subset rule (_subset_keys): k distinct int
-    points in [1, N], no subset named twice. The defining condition is then
-    enforced, that dropping one point from each subset sums to zero over
-    every (k-1)-subset; the sums run in integers, on the coordinates scaled
-    by the lcm of their denominators, with subsets as bitmasks. Every vector
-    this module hands out passes both checks, through the constructor or
-    through _from_tables, which checks one shared subset list once and then
-    each vector's own divergence; phi_module_oracle builds no vector and
-    makes the same divergence check itself, on every vector it uses.
+    Every key given to the constructor must pass the one subset rule
+    (_subset_keys): k distinct int points in [1, N], no subset named twice.
+    The defining condition is then enforced, that dropping one point from
+    each subset sums to zero over every (k-1)-subset; the sums run in
+    integers, on the coordinates scaled by the lcm of their denominators,
+    with subsets as bitmasks. Every vector this module hands out passes the
+    divergence check, through the constructor or through _from_tables,
+    which makes its own keys; phi_module_oracle builds no vector and makes
+    the same divergence check itself, on every vector it uses.
     """
 
     __slots__ = ("_N", "_k", "_coords")
@@ -332,18 +355,16 @@ class VkVector:
         self._fill(N, k, keys, masks, values, linalg.over_common_denominator(values)[0])
 
     @classmethod
-    def _from_tables(
-        cls, N: int, k: int, labelled: list[tuple[tuple[int, ...], object]], tables: Iterable
-    ) -> list["VkVector"]:
-        """One vector per table, with the table's value at each (subset, label).
+    def _from_tables(cls, N: int, k: int, labels: Sequence, tables: Iterable) -> list["VkVector"]:
+        """One vector per table, with the table's value at each subset's label.
 
-        A table is anything whose items() are (label, value) pairs, such as
-        a dict or a CoeffTable. The subsets are checked once, by the
-        constructor's rule. Each table is scaled to integers once, over its
-        own values.
+        The labels follow every k-subset of [1, N] in lexicographic order,
+        so the keys and masks are made here, not checked. A table's items()
+        are (label, value) pairs, as a dict's or a CoeffTable's; each table
+        is scaled to integers once, over its own values.
         """
-        keys, masks = _subset_keys(N, k, [subset for subset, _ in labelled])
-        labels = [uv for _, uv in labelled]
+        keys = list(itertools.combinations(range(1, N + 1), k))
+        masks = list(map(sum, itertools.combinations([1 << p for p in range(1, N + 1)], k)))
         vectors = []
         for table in tables:
             values = {uv: x if isinstance(x, Fraction) else Fraction(x) for uv, x in table.items()}
@@ -399,40 +420,32 @@ class VkVector:
         return f"VkVector(N={self._N}, k={self._k}, {len(self._coords)} nonzero)"
 
 
-def _subsets(N: int, k: int) -> list[tuple[int, ...]]:
-    return list(itertools.combinations(range(1, N + 1), k))
-
-
 def _check_space_bound(N: int, k: int, bound: int) -> None:
+    """Refuse C(N, k) past the bound, showing its value within the digit limit."""
     size = binom(N, k)
     if size > bound:
-        raise OracleBoundExceeded(
-            f"monomial space size C({N},{k}) = {size} exceeds bound {bound}"
-        )
+        shown = _decimal([size])
+        value = f" = {shown}" if shown else ""
+        raise OracleBoundExceeded(f"monomial space size C({N},{k}){value} exceeds bound {bound}")
 
 
 def build_Vk_basis(N: int, k: int, bound: int = DEFAULT_BOUND) -> list[VkVector]:
     """Basis of the divergence-free subspace, from the raw linear system.
 
-    One equation per (k-1)-subset; the kernel has dimension
+    One equation per (k-1)-subset, none at k = 0, with a 1 at each
+    k-subset that contains it; the kernel has dimension
     C(N, k) - C(N, k-1). Small N only.
     """
     check_k(N, k)
     _check_space_bound(N, k, bound)
-    if k == 0:
-        return [VkVector(N, 0, {(): Fraction(1)})]
-    columns = _subsets(N, k)
-    column_index = {subset: j for j, subset in enumerate(columns)}
-    rows = []
-    for smaller in _subsets(N, k - 1):
-        row = [0] * len(columns)
-        for j in range(1, N + 1):
-            if j not in smaller:
-                row[column_index[tuple(sorted(smaller + (j,)))]] = 1
-        rows.append(row)
-    kernel = linalg.nullspace(rows, ncols=len(columns))
-    labelled = [(subset, j) for j, subset in enumerate(columns)]
-    return VkVector._from_tables(N, k, labelled, [dict(enumerate(vec)) for vec in kernel])
+    bits = [1 << p for p in range(1, N + 1)]
+    masks = list(map(sum, itertools.combinations(bits, k)))
+    rows = [
+        [int(mask & face == face) for mask in masks]
+        for face in map(sum, itertools.combinations(bits, k - 1) if k else ())
+    ]
+    kernel = linalg.nullspace(rows, ncols=len(masks))
+    return VkVector._from_tables(N, k, range(len(masks)), [dict(enumerate(vec)) for vec in kernel])
 
 
 def _label_codes(n: BlockTriple, k: int) -> list[int]:
@@ -445,8 +458,8 @@ def _label_codes(n: BlockTriple, k: int) -> list[int]:
     return [1] * n.n1 + [k + 1] * n.n2 + [0] * n.n3
 
 
-def _labelled_subsets(n: BlockTriple, k: int) -> list[tuple[tuple[int, ...], tuple[int, int]]]:
-    """Every k-subset of [1, N] in lexicographic order, with its orbit label.
+def _orbit_labels(n: BlockTriple, k: int) -> list[tuple[int, int]]:
+    """The orbit label of every k-subset of [1, N], in lexicographic order.
 
     The label (u, v) counts the subset's points in blocks 1 and 2, read off
     the sum of its points' label codes. The codes run through the same
@@ -454,12 +467,18 @@ def _labelled_subsets(n: BlockTriple, k: int) -> list[tuple[tuple[int, ...], tup
     """
     base = k + 1
     return [
-        (subset, (code % base, code // base))
-        for subset, code in zip(
-            itertools.combinations(range(1, n.N + 1), k),
-            map(sum, itertools.combinations(_label_codes(n, k), k)),
-        )
+        (code % base, code // base)
+        for code in map(sum, itertools.combinations(_label_codes(n, k), k))
     ]
+
+
+def _orbit_coords(vec: VkVector, n: BlockTriple) -> tuple[list[tuple[int, int]], list[Fraction]]:
+    """The orbit label and the vector's coordinate at every k-subset, in
+    lexicographic order."""
+    if vec.N != n.N:
+        raise ValueError(f"vector lives on {vec.N} points, blocks cover {n.N}")
+    subsets = itertools.combinations(range(1, n.N + 1), vec.k)
+    return _orbit_labels(n, vec.k), [vec._coords.get(subset, ZERO) for subset in subsets]
 
 
 class _OrbitFrame(NamedTuple):
@@ -532,20 +551,14 @@ def invariants_in_Vk(n: BlockTriple, k: int, bound: int = DEFAULT_BOUND) -> list
     """
     check_k(n.N, k)
     _check_space_bound(n.N, k, bound)
-    return VkVector._from_tables(n.N, k, _labelled_subsets(n, k), _invariant_tables(n, k))
-
-
-def _check_points(vec: VkVector, n: BlockTriple) -> None:
-    if vec.N != n.N:
-        raise ValueError(f"vector lives on {vec.N} points, blocks cover {n.N}")
+    return VkVector._from_tables(n.N, k, _orbit_labels(n, k), _invariant_tables(n, k))
 
 
 def coeff_table_from_invariant(vec: VkVector, n: BlockTriple) -> CoeffTable:
-    """Read the orbit constants off an invariant vector; reject non-constant ones."""
-    _check_points(vec, n)
+    """Read the orbit constants off an invariant vector; reject non-constant
+    ones, naming the orbit of the first subset that breaks the constant."""
     entries: dict[tuple[int, int], Fraction] = {}
-    for subset, uv in _labelled_subsets(n, vec.k):
-        value = vec.coord(subset)
+    for uv, value in zip(*_orbit_coords(vec, n)):
         if entries.setdefault(uv, value) != value:
             raise ValueError(f"vector is not constant on the orbit {uv}")
     return CoeffTable(n, vec.k, entries)
@@ -553,15 +566,13 @@ def coeff_table_from_invariant(vec: VkVector, n: BlockTriple) -> CoeffTable:
 
 def project_to_invariant(vec: VkVector, n: BlockTriple) -> VkVector:
     """Average the vector over each subset orbit of the block subgroup."""
-    _check_points(vec, n)
-    labelled = _labelled_subsets(n, vec.k)
+    labels, values = _orbit_coords(vec, n)
     sums: dict[tuple[int, int], Fraction] = {}
-    sizes: Counter = Counter()
-    for subset, uv in labelled:
-        sums[uv] = sums.get(uv, ZERO) + vec.coord(subset)
-        sizes[uv] += 1
+    sizes: Counter = Counter(labels)
+    for uv, value in zip(labels, values):
+        sums[uv] = sums.get(uv, ZERO) + value
     means = {uv: sums[uv] / sizes[uv] for uv in sums}
-    return VkVector._from_tables(vec.N, vec.k, labelled, [means])[0]
+    return VkVector._from_tables(vec.N, vec.k, labels, [means])[0]
 
 
 def phi_module_oracle(

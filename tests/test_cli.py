@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -218,6 +219,48 @@ class TestCompute:
         record = json.loads(result.output)
         assert "agreement" not in record
         assert record["value"] == "1/1"
+
+    @pytest.mark.parametrize(
+        "args, stderr",
+        [
+            (
+                ["--n", "1000,1000,1000", "--k", "3", "--method", "oracle"],
+                "error: subgroup order 1000! 1000! 1000! exceeds bound 1000000"
+                " for n = (1000, 1000, 1000)\n",
+            ),
+            (
+                ["--n", "10000,10000,10000", "--k", "12000", "--method", "module"],
+                "error: monomial space size C(30000,12000) exceeds bound 1000000\n",
+            ),
+        ],
+    )
+    def test_refusal_past_the_digit_limit_exits_three(self, runner, digit_limit, args, stderr):
+        """A refused size too long to print is named by its formula."""
+        result = runner.invoke(main, ["compute", "--cycle", "1,2"] + args)
+        assert result.exit_code == 3, result.output
+        assert result.stdout == ""
+        assert result.stderr == stderr
+
+    def test_refusal_within_the_digit_limit_prints_the_size(self, runner, digit_limit):
+        """(600!)^3 has 4,224 digits, within the limit, and prints in full."""
+        result = runner.invoke(
+            main, ["compute", "--n", "600,600,600", "--k", "3", "--cycle", "1,2", "--method", "oracle"]
+        )
+        assert result.exit_code == 3, result.output
+        order = digit_limit(math.factorial(600) ** 3)
+        assert result.stderr == (
+            f"error: subgroup order {order} exceeds bound 1000000 for n = (600, 600, 600)\n"
+        )
+
+    def test_all_skips_oracles_refused_past_the_digit_limit(self, runner, digit_limit):
+        result = runner.invoke(
+            main, ["compute", "--n", "1000,1000,1000", "--k", "3", "--cycle", "1,2", "--method", "all"]
+        )
+        assert result.exit_code == 0, result.output
+        record = json.loads(result.output)
+        assert "agreement" not in record
+        assert record["method"] == "closed_form"
+        assert record["value"] == "498501/125000"
 
 
 class TestVerify:

@@ -9,7 +9,7 @@ import sphfn.closed_form
 from sphfn.characters import m_range, multiplicity
 from sphfn.closed_form import (
     SphericalQuery,
-    _phi_2cycle_ratio,
+    _pair_sizes,
     _phi_3cycle_ratio,
     _phi_3cycle_redundant,
     _power_sums,
@@ -261,7 +261,7 @@ class TestIntegerKernels:
         num, den = _phi_3cycle_ratio(n, k)
         assert den > 0 and Fraction(num, den) == phi_3cycle(n, k), (n, k)
         for pair in PAIRS:
-            num, den = _phi_2cycle_ratio(n, k, pair)
+            num, den = _two_cycle_ratio(*_pair_sizes(n, k, pair), k)
             assert den > 0 and Fraction(num, den) == phi_2cycle(n, k, pair), (n, k, pair)
 
     def test_ratios_give_the_public_values(self):
@@ -280,7 +280,7 @@ class TestIntegerKernels:
                 for pair in PAIRS:
                     (c,) = {1, 2, 3} - set(pair)
                     a, b = pair
-                    expected = _phi_2cycle_ratio(n, k, pair)
+                    expected = _two_cycle_ratio(*_pair_sizes(n, k, pair), k)
                     for x, y in ((a, b), (b, a)):
                         sizes = (n.size(x), n.size(y), n.size(c))
                         assert _two_cycle_ratio(*sizes, k) == expected, (n, k, pair, x)
@@ -369,6 +369,18 @@ class TestSpecialValues:
         assert phi_special(n, 3, (1, 3)) is None
         assert phi_special(n, 3, (2, 3)) is None
         assert phi_special(n, 3, (1,)) is None
+
+    def test_cycle_in_any_order(self):
+        """The cycle names its blocks in any order, as a set."""
+        n = BlockTriple(1, 2, 4)
+        assert phi_special(n, 3, (1, 2)) == Fraction(1)
+        assert phi_special(n, 3, (2, 1)) == Fraction(1)
+        assert phi_special(n, 3, (3, 1, 2)) == phi_special(n, 3, (1, 2, 3))
+
+    @pytest.mark.parametrize("cycle", [(7,), (), (0, 1), (1, 4)])
+    def test_rejects_a_cycle_outside_the_blocks(self, cycle):
+        with pytest.raises(ValueError, match="cycle must be a nonempty subset"):
+            phi_special(BlockTriple(1, 2, 4), 3, cycle)
 
     def test_half_degree_needs_single_invariant(self):
         """k = N/2 alone does not justify the shortcut display."""

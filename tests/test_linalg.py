@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -73,6 +74,61 @@ def test_row_echelon_matches_fraction_gauss_jordan(m):
     assert pivots == expected_pivots
     assert echelon == expected
     assert all(type(x) is Fraction for row in echelon for x in row)
+
+
+def reference_solve(matrix, rhs):
+    """solve read off the Fraction Gauss-Jordan reference: the refusal's
+    message, or the right-hand column of the reduced augmented matrix."""
+    ncols = len(matrix[0])
+    echelon, pivots = gauss_jordan_reference([list(row) + [b] for row, b in zip(matrix, rhs)])
+    if ncols in pivots:
+        return "inconsistent linear system"
+    if len(pivots) < ncols:
+        return "underdetermined linear system"
+    return [echelon[r][ncols] for r in range(ncols)]
+
+
+def test_solve_and_rank_match_fraction_gauss_jordan():
+    """Seeded random int and Fraction systems: full-rank ones, and ones
+    built from fewer random rows; right-hand sides either in the column
+    space or random. Every outcome of solve turns up."""
+    rng = random.Random(20261019)
+    outcomes = Counter()
+    for _ in range(600):
+        ncols = rng.randint(1, 5)
+        as_fractions = rng.random() < 0.5
+
+        def entry():
+            if as_fractions:
+                return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+            return rng.randint(-9, 9)
+
+        nrows = rng.randint(1, 7)
+        if rng.random() < 0.5:
+            matrix = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+        else:
+            spanning = [[entry() for _ in range(ncols)] for _ in range(rng.randint(1, ncols))]
+            matrix = [
+                [sum(rng.randint(-2, 2) * row[c] for row in spanning) for c in range(ncols)]
+                for _ in range(nrows)
+            ]
+        if rng.random() < 0.5:
+            x = [entry() for _ in range(ncols)]
+            rhs = [sum(a * b for a, b in zip(row, x)) for row in matrix]
+        else:
+            rhs = [entry() for _ in range(nrows)]
+        expected = reference_solve(matrix, rhs)
+        try:
+            solution = linalg.solve(matrix, rhs)
+        except ValueError as exc:
+            outcomes[str(exc)] += 1
+            assert str(exc) == expected, (matrix, rhs)
+        else:
+            outcomes["solved"] += 1
+            assert solution == expected, (matrix, rhs)
+            assert all(type(x) is Fraction for x in solution)
+        assert linalg.rank(matrix) == len(gauss_jordan_reference(matrix)[1]), matrix
+    assert len(outcomes) == 3 and min(outcomes.values()) >= 50, outcomes
 
 
 def reference_kernel(matrix, ncols):

@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import re
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -247,6 +248,42 @@ class TestCharacterOracle:
         n = BlockTriple(3, 2, 2)
         with pytest.raises(OracleBoundExceeded):
             phi_character_oracle(n, 1, embed_cycle((1, 2), n), bound=10)
+
+    def test_refusal_message(self):
+        with pytest.raises(OracleBoundExceeded) as excinfo:
+            oracle._check_order((3, 2, 2), 10)
+        assert str(excinfo.value) == "subgroup order 24 exceeds bound 10 for n = (3, 2, 2)"
+        assert oracle._check_order((3, 2, 2), 24) == 24
+
+    def test_refusal_stops_multiplying(self, monkeypatch):
+        """The product stops at the first block past the bound, and a block
+        of m points with 2^(m-1) past the bound is never factored."""
+        taken = []
+        factorial = math.factorial
+        monkeypatch.setattr(math, "factorial", lambda m: taken.append(m) or factorial(m))
+        for sizes, bound in [((100, 300, 300), 10**100), ((2, 10**7, 10**7), 10**6)]:
+            with pytest.raises(OracleBoundExceeded):
+                oracle._check_order(sizes, bound)
+        assert taken == [100, 2]
+        assert oracle._check_order((20, 1, 1), factorial(20)) == factorial(20)
+
+    def test_refusal_past_the_digit_limit(self):
+        """Blocks of 10^7 points: the refusal names the factorials, past the
+        digit limit; with the interpreter's limit off, 4300 digits cap it."""
+        if not hasattr(sys, "get_int_max_str_digits"):
+            pytest.skip("the interpreter has no int-to-str digit limit")
+        saved = sys.get_int_max_str_digits()
+        try:
+            for limit in (4300, 0):
+                sys.set_int_max_str_digits(limit)
+                with pytest.raises(OracleBoundExceeded) as excinfo:
+                    oracle._check_order((10**7,) * 3, oracle.DEFAULT_BOUND)
+                assert str(excinfo.value) == (
+                    "subgroup order 10000000! 10000000! 10000000! exceeds bound 1000000"
+                    " for n = (10000000, 10000000, 10000000)"
+                )
+        finally:
+            sys.set_int_max_str_digits(saved)
 
     def test_rejects_mismatched_permutation(self):
         with pytest.raises(ValueError):
@@ -549,14 +586,9 @@ class TestVkVector:
         ],
     )
     def test_bad_subset_messages(self, N, k, coords, message):
-        """Every refusal names the first bad key, in the same words through
-        the constructor and through one shared subset list."""
+        """Every refusal names the first bad key."""
         with pytest.raises(ValueError) as excinfo:
             VkVector(N, k, coords)
-        assert str(excinfo.value) == message
-        labelled = [(subset, j) for j, subset in enumerate(coords)]
-        with pytest.raises(ValueError) as excinfo:
-            VkVector._from_tables(N, k, labelled, [dict(enumerate(coords.values()))])
         assert str(excinfo.value) == message
 
     def test_face_sums_match_tuple_faces(self):
@@ -714,11 +746,31 @@ class TestInvariants:
                 compared += 1
         assert compared == 288
 
+    def test_orbit_labels_match_point_labels(self):
+        """The labels read off summed label codes against counting each
+        subset's points block by block, at every (n, k) with blocks <= 4."""
+        compared = 0
+        for n in small_triples(4):
+            for k in range(n.N // 2 + 1):
+                expected = [uv for _, uv in point_labels(n, k)]
+                assert oracle._orbit_labels(n, k) == expected, (n, k)
+                compared += 1
+        assert compared == 288
+
     def test_table_rejects_non_constant_vector(self):
         n = BlockTriple(2, 2, 2)
         vec = VkVector(6, 1, {(1,): 1, (2,): -1})
         with pytest.raises(ValueError):
             coeff_table_from_invariant(vec, n)
+
+    def test_non_constant_refusal_names_the_first_break(self):
+        """Two orbits are not constant: (1, 1) appears first, at (1, 3), but
+        (1, 0) breaks first, at (1, 6) before (2, 3), and is the one named."""
+        n = BlockTriple(2, 2, 2)
+        vec = VkVector(6, 2, {(1, 2): 1, (1, 5): -1, (2, 3): -1, (3, 5): 1})
+        with pytest.raises(ValueError) as excinfo:
+            coeff_table_from_invariant(vec, n)
+        assert str(excinfo.value) == "vector is not constant on the orbit (1, 0)"
 
     def test_table_rejects_wrong_size(self):
         vec = VkVector(6, 1, {(1,): 1, (2,): -1})
