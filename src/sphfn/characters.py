@@ -66,6 +66,9 @@ def mn_character(lam: Partition, mu: Partition) -> int:
     return _mn(lam.parts, mu.parts)
 
 
+# A Partition is immutable, so each oracle call can share one; 1,024 holds
+# every shape with N <= 62.
+@functools.lru_cache(maxsize=1024)
 def two_row(N: int, k: int) -> Partition:
     """The two-row shape [N - k, k]; k = 0 degenerates to the single row [N]."""
     check_k(N, k)

@@ -34,7 +34,11 @@ The caches; no value depends on what they hold:
 * _orbit_frame, bounded (the 512 most recent (n, k)), keyed by (n, k): the
   module oracle's orbit frame, its labels, orbit sizes and distinct
   divergence rows, and the invariant basis, the nullspace of those rows,
-  shared by the five cycles of one (n, k) and invariants_in_Vk.
+  shared by the five cycles of one (n, k) and invariants_in_Vk;
+* _face_incidence, bounded (the 64 most recent (N, k)), keyed by (N, k):
+  the position of each face of each k-subset among the (k-1)-subsets, four
+  bytes a face, shared by the orbit frames and every vector the module
+  builds on [1, N] at degree k.
 
 A call of the module oracle counts how g moves subsets between orbits and
 reads the trace off the reduced basis, with no linear solve. Caching skips
@@ -42,12 +46,16 @@ no check: every call still checks each basis table and each projected image
 for divergence and for lying in the basis's span, and every VkVector handed
 out checks its own.
 
-Wherever faces are summed, a subset is the bitmask sum of 1 << p over its
-points, and its faces are the masks with one bit dropped. One subset rule
-checks the keys a caller gives VkVector; the module's own vectors take
-every k-subset in lexicographic order as keys, made rather than checked,
-and each checks its divergence from its own coordinates. One orbit walk,
-_orbit_coords, serves reading a table off a vector and projecting one.
+Faces are summed by one kernel, _faces_cancel. The module's own walks take
+every k-subset in lexicographic order, and the faces of each from the
+cached incidence of (N, k): the orbit frame counts its divergence rows
+through it, build_Vk_basis reads its equations off it, and every vector
+_from_tables builds sums its divergence over it, each from its own
+coordinates. Keys a caller gives VkVector pass the one subset rule, and
+their faces are bitmasks, a subset's sum of 1 << p with one point's bit
+dropped. One orbit walk, _orbit_coords, serves reading a table off a
+vector and projecting one, and refuses 2k > N and C(N, k) past its bound
+before it starts.
 """
 from __future__ import annotations
 
@@ -57,9 +65,10 @@ import itertools
 import math
 import operator
 import sys
+from array import array
 from collections import Counter, defaultdict
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import linalg
 from .characters import _check_weights, _mn, centralizer_order, two_row
@@ -289,9 +298,12 @@ def two_factor_character_oracle(
 def _subset_keys(N: int, k: int, subsets: Iterable) -> tuple[list[tuple[int, ...]], list[int]]:
     """The sorted keys and bitmasks (sum of 1 << p) of k-subsets of [1, N].
 
-    The one subset rule: k points, each an int (not a bool) in [1, N], all
-    distinct, and no subset given twice; ValueError otherwise.
+    The one subset rule: k an int (not a bool) in [0, N]; k points, each an
+    int in [1, N], all distinct, and no subset given twice; ValueError
+    otherwise.
     """
+    if type(k) is not int or not 0 <= k <= N:
+        raise ValueError(f"k must be an int in [0, {N}], got {k!r}")
     keys: list[tuple[int, ...]] = []
     masks: list[int] = []
     given: set[int] = set()
@@ -314,36 +326,67 @@ def _subset_keys(N: int, k: int, subsets: Iterable) -> tuple[list[tuple[int, ...
     return keys, masks
 
 
-def _faces_cancel(masks: Iterable[int], values: Iterable[int]) -> bool:
+# 64 holds every (N, k) with N <= 12 and 2k <= N (48 of them).
+@functools.lru_cache(maxsize=64)
+def _face_incidence(N: int, k: int) -> tuple[array, int]:
+    """The faces of every k-subset of [1, N], as positions among the
+    (k-1)-subsets, cached.
+
+    Both lists run in lexicographic order. Subset j's faces, in the order
+    combinations(subset, k - 1) gives them, sit at flat[j k : (j + 1) k],
+    four bytes each. Returns the flat positions and the number of faces; at
+    k = 0 there are none.
+    """
+    if not k:
+        return array("I"), 0
+    points = range(1, N + 1)
+    position = dict(zip(itertools.combinations(points, k - 1), itertools.count()))
+    faces = map(itertools.combinations, itertools.combinations(points, k), itertools.repeat(k - 1))
+    return array("I", map(position.__getitem__, itertools.chain.from_iterable(faces))), len(position)
+
+
+def _subset_faces(N: int, k: int) -> tuple[Iterator[tuple[int, ...]], int]:
+    """Each k-subset's face positions, one tuple per subset in lexicographic
+    order, and the number of faces. At k = 0 the one empty subset has no
+    face."""
+    flat, count = _face_incidence(N, k)
+    return (zip(*[iter(flat)] * k) if k else iter([()])), count
+
+
+def _mask_faces(keys: Iterable[tuple[int, ...]], masks: Iterable[int]) -> Iterator[Iterator[int]]:
+    """Each subset's faces as bitmasks: its mask with one point's bit dropped."""
+    return (map(mask.__xor__, map((1).__lshift__, key)) for key, mask in zip(keys, masks))
+
+
+def _faces_cancel(faces: Iterable[Iterable[int]], values: Iterable[int], sums) -> bool:
     """Whether integer coordinates sum to zero at every face.
 
-    The faces of a subset mask are the masks with one of its bits dropped,
-    mask ^ lowbit; each coordinate adds its value at each face of its subset.
+    faces gives each coordinate's faces, as keys of sums, which reads zero
+    at each: positions from _subset_faces into a list of zeros, or bitmasks
+    from _mask_faces into a defaultdict(int). Each coordinate adds its value
+    at each of its faces.
     """
-    sums: dict[int, int] = {}
-    for mask, x in zip(masks, values):
+    for ids, x in zip(faces, values):
         if x:
-            rest = mask
-            while rest:
-                low = rest & -rest
-                face = mask ^ low
-                sums[face] = sums.get(face, 0) + x
-                rest ^= low
-    return not any(sums.values())
+            for f in ids:
+                sums[f] += x
+    return not any(sums.values() if isinstance(sums, dict) else sums)
 
 
 class VkVector:
     """A divergence-free vector in the span of squarefree degree-k monomials.
 
     Coordinates are indexed by sorted k-tuples; absent subsets read as zero.
-    Every key given to the constructor must pass the one subset rule
-    (_subset_keys): k distinct int points in [1, N], no subset named twice.
+    k must be an int in [0, N], and every key given to the constructor must
+    pass the one subset rule (_subset_keys): k distinct int points in
+    [1, N], no subset named twice.
     The defining condition is then enforced, that dropping one point from
     each subset sums to zero over every (k-1)-subset; the sums run in
     integers, on the coordinates scaled by the lcm of their denominators,
-    with subsets as bitmasks. Every vector this module hands out passes the
-    divergence check, through the constructor or through _from_tables,
-    which makes its own keys; phi_module_oracle builds no vector and makes
+    with the faces of the keys given as bitmasks. Every vector this module
+    hands out passes the divergence check, through the constructor or
+    through _from_tables, which makes its own keys and reads their faces
+    off the cached incidence; phi_module_oracle builds no vector and makes
     the same divergence check itself, on every vector it uses.
     """
 
@@ -352,35 +395,39 @@ class VkVector:
     def __init__(self, N: int, k: int, coords: Mapping[tuple[int, ...], object]):
         keys, masks = _subset_keys(N, k, coords)
         values = [x if isinstance(x, Fraction) else Fraction(x) for x in coords.values()]
-        self._fill(N, k, keys, masks, values, linalg.over_common_denominator(values)[0])
+        scaled = linalg.over_common_denominator(values)[0]
+        self._fill(N, k, keys, values, scaled, _mask_faces(keys, masks), defaultdict(int))
 
     @classmethod
     def _from_tables(cls, N: int, k: int, labels: Sequence, tables: Iterable) -> list["VkVector"]:
         """One vector per table, with the table's value at each subset's label.
 
         The labels follow every k-subset of [1, N] in lexicographic order,
-        so the keys and masks are made here, not checked. A table's items()
-        are (label, value) pairs, as a dict's or a CoeffTable's; each table
-        is scaled to integers once, over its own values.
+        so the keys are made here, not checked, and their faces are the
+        cached incidence's. A table's items() are (label, value) pairs, as a
+        dict's or a CoeffTable's; each table is scaled to integers once,
+        over its own values.
         """
         keys = list(itertools.combinations(range(1, N + 1), k))
-        masks = list(map(sum, itertools.combinations([1 << p for p in range(1, N + 1)], k)))
         vectors = []
         for table in tables:
             values = {uv: x if isinstance(x, Fraction) else Fraction(x) for uv, x in table.items()}
             scaled = dict(zip(values, linalg.over_common_denominator(values.values())[0]))
+            faces, count = _subset_faces(N, k)
             vec = cls.__new__(cls)
-            vec._fill(N, k, keys, masks, [values[uv] for uv in labels], [scaled[uv] for uv in labels])
+            vec._fill(
+                N, k, keys, [values[uv] for uv in labels], [scaled[uv] for uv in labels], faces, [0] * count
+            )
             vectors.append(vec)
         return vectors
 
-    def _fill(self, N: int, k: int, keys: list, masks: list, values: list, scaled: list) -> None:
+    def _fill(self, N: int, k: int, keys: list, values: list, scaled: list, faces, sums) -> None:
         """Set the nonzero coordinates; ValueError unless the integer
-        coordinates, scaled, are divergence free."""
+        coordinates, scaled, cancel at every face (_faces_cancel)."""
         self._N = N
         self._k = k
         self._coords = {key: x for key, x, y in zip(keys, values, scaled) if y}
-        if not _faces_cancel(masks, scaled):
+        if not _faces_cancel(faces, scaled, sums):
             raise ValueError("coordinates violate the divergence condition")
 
     @property
@@ -438,14 +485,14 @@ def build_Vk_basis(N: int, k: int, bound: int = DEFAULT_BOUND) -> list[VkVector]
     """
     check_k(N, k)
     _check_space_bound(N, k, bound)
-    bits = [1 << p for p in range(1, N + 1)]
-    masks = list(map(sum, itertools.combinations(bits, k)))
-    rows = [
-        [int(mask & face == face) for mask in masks]
-        for face in map(sum, itertools.combinations(bits, k - 1) if k else ())
-    ]
-    kernel = linalg.nullspace(rows, ncols=len(masks))
-    return VkVector._from_tables(N, k, range(len(masks)), [dict(enumerate(vec)) for vec in kernel])
+    size = binom(N, k)
+    faces, count = _subset_faces(N, k)
+    rows = [[0] * size for _ in range(count)]
+    for j, ids in enumerate(faces):
+        for f in ids:
+            rows[f][j] = 1
+    kernel = linalg.nullspace(rows, ncols=size)
+    return VkVector._from_tables(N, k, range(size), [dict(enumerate(vec)) for vec in kernel])
 
 
 def _label_codes(n: BlockTriple, k: int) -> list[int]:
@@ -472,11 +519,16 @@ def _orbit_labels(n: BlockTriple, k: int) -> list[tuple[int, int]]:
     ]
 
 
-def _orbit_coords(vec: VkVector, n: BlockTriple) -> tuple[list[tuple[int, int]], list[Fraction]]:
+def _orbit_coords(
+    vec: VkVector, n: BlockTriple, bound: int
+) -> tuple[list[tuple[int, int]], list[Fraction]]:
     """The orbit label and the vector's coordinate at every k-subset, in
-    lexicographic order."""
+    lexicographic order; ValueError past 2k > N, OracleBoundExceeded past
+    C(N, k) > bound, both before the walk."""
     if vec.N != n.N:
         raise ValueError(f"vector lives on {vec.N} points, blocks cover {n.N}")
+    check_k(n.N, vec.k)
+    _check_space_bound(n.N, vec.k, bound)
     subsets = itertools.combinations(range(1, n.N + 1), vec.k)
     return _orbit_labels(n, vec.k), [vec._coords.get(subset, ZERO) for subset in subsets]
 
@@ -498,11 +550,11 @@ def _orbit_frame(n: BlockTriple, k: int) -> _OrbitFrame:
     """The orbit labels, sizes, divergence rows and invariant basis of (n, k), cached.
 
     Invariance under the block subgroup forces one unknown per orbit label.
-    One pass over the C(N, k) subsets, as bitmasks, counts each orbit and,
-    for every (k-1)-subset S, a face mask, the labels of the subsets that
-    contain S; the divergence of an orbit-constant vector at S is the sum
-    of its values over those labels, so each distinct row of counts is one
-    equation. Only the
+    One pass over the C(N, k) subsets counts each orbit and, for every
+    (k-1)-subset S, through the cached face incidence, the labels of the
+    subsets that contain S; the divergence of an orbit-constant vector at S
+    is the sum of its values over those labels, so each distinct row of
+    counts is one equation. Only the
     distinct rows are kept, not one entry per subset. All of them are
     imposed verbatim, without collapsing them into the label recurrence, so
     the basis, their kernel from linalg.nullspace, stays independent of the
@@ -513,20 +565,16 @@ def _orbit_frame(n: BlockTriple, k: int) -> _OrbitFrame:
     base = k + 1
     index = {u + v * base: a for a, (u, v) in enumerate(labels)}
     sizes = [0] * len(labels)
-    faces: defaultdict[int, list[int]] = defaultdict(lambda: [0] * len(labels))
-    bits = [1 << p for p in range(1, n.N + 1)]
-    for mask, code in zip(
-        map(sum, itertools.combinations(bits, k)),
-        map(sum, itertools.combinations(_label_codes(n, k), k)),
-    ):
+    faces, count = _subset_faces(n.N, k)
+    # One array of face counts per label; row S reads across them.
+    columns = [array("I", [0]) * count for _ in labels]
+    for ids, code in zip(faces, map(sum, itertools.combinations(_label_codes(n, k), k))):
         a = index[code]
         sizes[a] += 1
-        rest = mask
-        while rest:
-            low = rest & -rest
-            faces[mask ^ low][a] += 1
-            rest ^= low
-    divergence = tuple(sorted({tuple(row) for row in faces.values()}))
+        column = columns[a]
+        for f in ids:
+            column[f] += 1
+    divergence = tuple(sorted(set(zip(*columns))))
     basis = tuple(
         CoeffTable(n, k, dict(zip(labels, vec)))
         for vec in linalg.nullspace(divergence, ncols=len(labels))
@@ -554,19 +602,23 @@ def invariants_in_Vk(n: BlockTriple, k: int, bound: int = DEFAULT_BOUND) -> list
     return VkVector._from_tables(n.N, k, _orbit_labels(n, k), _invariant_tables(n, k))
 
 
-def coeff_table_from_invariant(vec: VkVector, n: BlockTriple) -> CoeffTable:
+def coeff_table_from_invariant(
+    vec: VkVector, n: BlockTriple, bound: int = DEFAULT_BOUND
+) -> CoeffTable:
     """Read the orbit constants off an invariant vector; reject non-constant
-    ones, naming the orbit of the first subset that breaks the constant."""
+    ones, naming the orbit of the first subset that breaks the constant.
+    Refuses 2k > N and C(N, k) past the bound before reading."""
     entries: dict[tuple[int, int], Fraction] = {}
-    for uv, value in zip(*_orbit_coords(vec, n)):
+    for uv, value in zip(*_orbit_coords(vec, n, bound)):
         if entries.setdefault(uv, value) != value:
             raise ValueError(f"vector is not constant on the orbit {uv}")
     return CoeffTable(n, vec.k, entries)
 
 
-def project_to_invariant(vec: VkVector, n: BlockTriple) -> VkVector:
-    """Average the vector over each subset orbit of the block subgroup."""
-    labels, values = _orbit_coords(vec, n)
+def project_to_invariant(vec: VkVector, n: BlockTriple, bound: int = DEFAULT_BOUND) -> VkVector:
+    """Average the vector over each subset orbit of the block subgroup.
+    Refuses 2k > N and C(N, k) past the bound before averaging."""
+    labels, values = _orbit_coords(vec, n, bound)
     sums: dict[tuple[int, int], Fraction] = {}
     sizes: Counter = Counter(labels)
     for uv, value in zip(labels, values):

@@ -92,6 +92,16 @@ class TestTwoRow:
         with pytest.raises(ValueError):
             two_row(3, 2)
 
+    def test_shapes_are_shared_and_bounded(self):
+        """One Partition per (N, k), from a bounded cache; a refusal is not
+        cached and is raised again."""
+        assert two_row(9, 4) is two_row(9, 4)
+        assert two_row(9, 4) == Partition((5, 4))
+        assert two_row.cache_info().maxsize == 1024
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"need 0 <= 2k <= N, got k = 5, N = 9"):
+                two_row(9, 5)
+
     def test_dimensions(self):
         assert dim_two_row(6, 0) == 1
         assert dim_two_row(6, 2) == 9

@@ -4,7 +4,7 @@ import math
 import random
 import re
 import sys
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
 
 import pytest
@@ -139,6 +139,22 @@ def reference_faces_cancel(coords, k):
         for face in itertools.combinations(subset, k - 1) if k else ():
             sums[face] = sums.get(face, 0) + x
     return not any(sums.values())
+
+
+def reference_incidence(N, k):
+    """Each k-subset's faces from combinations(subset, k - 1), looked up in
+    the list of (k-1)-subsets, flat and in lexicographic order, and the
+    number of (k-1)-subsets."""
+    if k == 0:
+        return [], 0
+    faces = list(itertools.combinations(range(1, N + 1), k - 1))
+    position = {face: p for p, face in enumerate(faces)}
+    flat = [
+        position[face]
+        for subset in itertools.combinations(range(1, N + 1), k)
+        for face in itertools.combinations(subset, k - 1)
+    ]
+    return flat, len(faces)
 
 
 def raw_kernel(N, k):
@@ -591,10 +607,33 @@ class TestVkVector:
             VkVector(N, k, coords)
         assert str(excinfo.value) == message
 
+    @pytest.mark.parametrize(
+        "N, k, message",
+        [
+            (4, 5, "k must be an int in [0, 4], got 5"),
+            (4, -1, "k must be an int in [0, 4], got -1"),
+            (4, 1.0, "k must be an int in [0, 4], got 1.0"),
+            (4, True, "k must be an int in [0, 4], got True"),
+            (0, 1, "k must be an int in [0, 0], got 1"),
+        ],
+    )
+    def test_rejects_k_outside_the_points(self, N, k, message):
+        """The subset rule checks k first, with no key given or with one."""
+        for coords in ({}, {(): 1}):
+            with pytest.raises(ValueError) as excinfo:
+                VkVector(N, k, coords)
+            assert str(excinfo.value) == message
+
+    def test_accepts_every_k_from_zero_to_n(self):
+        assert VkVector(4, 0, {}).k == 0
+        assert VkVector(4, 4, {}).k == 4
+        assert VkVector(0, 0, {(): 1}).coord(()) == 1
+
     def test_face_sums_match_tuple_faces(self):
-        """The bitmask face sums against summing over (k-1)-tuples, on seeded
-        random integer vectors with N <= 8: divergence-free combinations of
-        the basis, the same with one coordinate bumped, and arbitrary ones."""
+        """The bitmask and incidence face sums against summing over
+        (k-1)-tuples, on seeded random integer vectors with N <= 8:
+        divergence-free combinations of the basis, the same with one
+        coordinate bumped, and arbitrary ones."""
         rng = random.Random(20261020)
         outcomes = Counter()
         for _ in range(300):
@@ -614,7 +653,12 @@ class TestVkVector:
             for values in (free, bumped, arbitrary):
                 coords = dict(zip(columns, values))
                 expected = reference_faces_cancel(coords, k)
-                assert oracle._faces_cancel(masks, values) == expected, (N, k, values)
+                by_mask = oracle._faces_cancel(
+                    oracle._mask_faces(columns, masks), values, defaultdict(int)
+                )
+                faces, count = oracle._subset_faces(N, k)
+                by_incidence = oracle._faces_cancel(faces, values, [0] * count)
+                assert by_mask == by_incidence == expected, (N, k, values)
                 outcomes[expected] += 1
                 if expected:
                     VkVector(N, k, coords)
@@ -644,6 +688,59 @@ class TestVkVector:
         vec = VkVector(4, 1, {(1,): 1, (2,): -1})
         with pytest.raises(ValueError):
             vec.apply(Permutation.identity(5))
+
+
+class TestFaceIncidence:
+    def test_matches_tuple_faces(self):
+        """Every N <= 10 and 0 <= k <= N against combinations(subset, k - 1)
+        looked up in the (k-1)-subset list, one group per k-subset: at
+        k = 0 one empty group and no face."""
+        compared = 0
+        for N in range(11):
+            for k in range(N + 1):
+                flat, count = oracle._face_incidence(N, k)
+                assert flat.typecode == "I"
+                assert (list(flat), count) == reference_incidence(N, k), (N, k)
+                faces, count = oracle._subset_faces(N, k)
+                groups = list(faces)
+                assert len(groups) == binom(N, k), (N, k)
+                assert all(len(ids) == k for ids in groups), (N, k)
+                assert [f for ids in groups for f in ids] == list(flat), (N, k)
+                compared += 1
+        assert compared == 66
+
+    def test_values_do_not_depend_on_the_incidence_cache(self, monkeypatch):
+        """The module oracle on all five cycles and invariants_in_Vk at blocks
+        <= 3, k = 0 included, with every orbit frame rebuilt: a cleared, a
+        warm and a one-entry incidence cache give the same values."""
+        monkeypatch.setattr(oracle, "_orbit_frame", oracle._orbit_frame.__wrapped__)
+        pairs = [(n, k) for n in small_triples(3) for k in range(n.N // 2 + 1)]
+        assert any(k == 0 for _, k in pairs)
+
+        def values(n, k):
+            return (
+                [phi_module_oracle(n, k, embed_cycle(cycle, n)) for cycle in CYCLES],
+                invariants_in_Vk(n, k),
+            )
+
+        cache = oracle._face_incidence
+        assert cache.cache_info().maxsize == 64
+        cleared = {}
+        for n, k in pairs:
+            cache.cache_clear()
+            cleared[n, k] = values(n, k)
+        assert {(n, k): values(n, k) for n, k in pairs} == cleared
+        assert cache.cache_info().hits > 0
+
+        # A one-entry cache, swept block triple by block triple, so that an
+        # (N, k) comes back after others have evicted it.
+        evicting = functools.lru_cache(maxsize=1)(cache.__wrapped__)
+        monkeypatch.setattr(oracle, "_face_incidence", evicting)
+        overfilled = {(n, k): values(n, k) for n, k in pairs}
+        info = evicting.cache_info()
+        assert info.currsize == info.maxsize
+        assert info.misses > len({(n.N, k) for n, k in pairs})
+        assert overfilled == cleared
 
 
 class TestBasis:
@@ -817,6 +914,29 @@ class TestInvariants:
     def test_bound_refusal(self):
         with pytest.raises(OracleBoundExceeded):
             invariants_in_Vk(BlockTriple(7, 7, 6), 10, bound=1000)
+
+    @pytest.mark.parametrize("walk", [project_to_invariant, coeff_table_from_invariant])
+    def test_walks_refuse_past_the_bound_before_walking(self, walk, monkeypatch):
+        """Both walks check k and C(N, k) before they label a subset."""
+        def no_walk(n, k):
+            raise AssertionError("walked")
+
+        monkeypatch.setattr(oracle, "_orbit_labels", no_walk)
+        with pytest.raises(OracleBoundExceeded) as excinfo:
+            walk(VkVector(20, 10, {}), BlockTriple(7, 7, 6), bound=1000)
+        assert str(excinfo.value) == "monomial space size C(20,10) = 184756 exceeds bound 1000"
+        with pytest.raises(OracleBoundExceeded) as excinfo:
+            walk(VkVector(24, 12, {}), BlockTriple(8, 8, 8))
+        assert str(excinfo.value) == "monomial space size C(24,12) = 2704156 exceeds bound 1000000"
+        with pytest.raises(ValueError) as excinfo:
+            walk(VkVector(4, 3, {}), BlockTriple(2, 1, 1))
+        assert str(excinfo.value) == "need 0 <= 2k <= N, got k = 3, N = 4"
+
+    @pytest.mark.parametrize("walk", [project_to_invariant, coeff_table_from_invariant])
+    def test_walks_run_at_the_bound(self, walk):
+        n = BlockTriple(2, 1, 1)
+        for vec in invariants_in_Vk(n, 1):
+            assert walk(vec, n, bound=binom(4, 1)) == walk(vec, n)
 
 
 class TestModuleOracle:
