@@ -32,9 +32,10 @@ The caches; no value depends on what they hold:
 * Histogram.sums, one dict on each histogram, keyed by the parts of the
   shape: the sum of count * chi over the histogram, taken once per shape;
 * _orbit_frame, bounded (the 512 most recent (n, k)), keyed by (n, k): the
-  module oracle's orbit frame, its labels, orbit sizes and distinct
-  divergence rows, and the invariant basis, the nullspace of those rows,
-  shared by the five cycles of one (n, k) and invariants_in_Vk;
+  module oracle's orbit frame, its labels, the orbit of every k-subset
+  (four bytes a subset), orbit sizes and distinct divergence rows, and the
+  invariant basis, the nullspace of those rows, shared by the five cycles
+  of one (n, k), invariants_in_Vk and the two routines that read orbits;
 * _face_incidence, bounded (the 64 most recent (N, k)), keyed by (N, k):
   the position of each face of each k-subset among the (k-1)-subsets, four
   bytes a face, shared by the orbit frames and every vector the module
@@ -53,9 +54,10 @@ through it, build_Vk_basis reads its equations off it, and every vector
 _from_tables builds sums its divergence over it, each from its own
 coordinates. Keys a caller gives VkVector pass the one subset rule, and
 their faces are bitmasks, a subset's sum of 1 << p with one point's bit
-dropped. One orbit walk, _orbit_coords, serves reading a table off a
-vector and projecting one, and refuses 2k > N and C(N, k) past its bound
-before it starts.
+dropped. The orbit frame labels every k-subset once; reading a table off
+a vector and projecting one take the orbits from it through
+_orbit_coords, which refuses 2k > N and C(N, k) past its bound before it
+reads a coordinate.
 """
 from __future__ import annotations
 
@@ -298,10 +300,12 @@ def two_factor_character_oracle(
 def _subset_keys(N: int, k: int, subsets: Iterable) -> tuple[list[tuple[int, ...]], list[int]]:
     """The sorted keys and bitmasks (sum of 1 << p) of k-subsets of [1, N].
 
-    The one subset rule: k an int (not a bool) in [0, N]; k points, each an
-    int in [1, N], all distinct, and no subset given twice; ValueError
-    otherwise.
+    The one subset rule: N an int (not a bool) >= 0, checked first; k an
+    int (not a bool) in [0, N]; k points, each an int in [1, N], all
+    distinct, and no subset given twice; ValueError otherwise.
     """
+    if type(N) is not int or N < 0:
+        raise ValueError(f"N must be an int >= 0, got {N!r}")
     if type(k) is not int or not 0 <= k <= N:
         raise ValueError(f"k must be an int in [0, {N}], got {k!r}")
     keys: list[tuple[int, ...]] = []
@@ -377,9 +381,9 @@ class VkVector:
     """A divergence-free vector in the span of squarefree degree-k monomials.
 
     Coordinates are indexed by sorted k-tuples; absent subsets read as zero.
-    k must be an int in [0, N], and every key given to the constructor must
-    pass the one subset rule (_subset_keys): k distinct int points in
-    [1, N], no subset named twice.
+    N must be an int >= 0 and k an int in [0, N], and every key given to the
+    constructor must pass the one subset rule (_subset_keys): k distinct int
+    points in [1, N], no subset named twice.
     The defining condition is then enforced, that dropping one point from
     each subset sums to zero over every (k-1)-subset; the sums run in
     integers, on the coordinates scaled by the lcm of their denominators,
@@ -399,24 +403,26 @@ class VkVector:
         self._fill(N, k, keys, values, scaled, _mask_faces(keys, masks), defaultdict(int))
 
     @classmethod
-    def _from_tables(cls, N: int, k: int, labels: Sequence, tables: Iterable) -> list["VkVector"]:
-        """One vector per table, with the table's value at each subset's label.
+    def _from_tables(
+        cls, N: int, k: int, orbit: Sequence[int], tables: Iterable[Sequence]
+    ) -> list["VkVector"]:
+        """One vector per table, with the table's value at each subset's orbit.
 
-        The labels follow every k-subset of [1, N] in lexicographic order,
-        so the keys are made here, not checked, and their faces are the
-        cached incidence's. A table's items() are (label, value) pairs, as a
-        dict's or a CoeffTable's; each table is scaled to integers once,
-        over its own values.
+        orbit gives a position in the tables for every k-subset of [1, N] in
+        lexicographic order, so the keys are made here, not checked, and
+        their faces are the cached incidence's. A table is a sequence of
+        values, one per position; each is scaled to integers once, over its
+        own values.
         """
         keys = list(itertools.combinations(range(1, N + 1), k))
         vectors = []
         for table in tables:
-            values = {uv: x if isinstance(x, Fraction) else Fraction(x) for uv, x in table.items()}
-            scaled = dict(zip(values, linalg.over_common_denominator(values.values())[0]))
+            values = [x if isinstance(x, Fraction) else Fraction(x) for x in table]
+            scaled = linalg.over_common_denominator(values)[0]
             faces, count = _subset_faces(N, k)
             vec = cls.__new__(cls)
             vec._fill(
-                N, k, keys, [values[uv] for uv in labels], [scaled[uv] for uv in labels], faces, [0] * count
+                N, k, keys, [values[a] for a in orbit], [scaled[a] for a in orbit], faces, [0] * count
             )
             vectors.append(vec)
         return vectors
@@ -492,7 +498,7 @@ def build_Vk_basis(N: int, k: int, bound: int = DEFAULT_BOUND) -> list[VkVector]
         for f in ids:
             rows[f][j] = 1
     kernel = linalg.nullspace(rows, ncols=size)
-    return VkVector._from_tables(N, k, range(size), [dict(enumerate(vec)) for vec in kernel])
+    return VkVector._from_tables(N, k, range(size), kernel)
 
 
 def _label_codes(n: BlockTriple, k: int) -> list[int]:
@@ -505,39 +511,12 @@ def _label_codes(n: BlockTriple, k: int) -> list[int]:
     return [1] * n.n1 + [k + 1] * n.n2 + [0] * n.n3
 
 
-def _orbit_labels(n: BlockTriple, k: int) -> list[tuple[int, int]]:
-    """The orbit label of every k-subset of [1, N], in lexicographic order.
-
-    The label (u, v) counts the subset's points in blocks 1 and 2, read off
-    the sum of its points' label codes. The codes run through the same
-    combinations as the points, so they line up with the subsets.
-    """
-    base = k + 1
-    return [
-        (code % base, code // base)
-        for code in map(sum, itertools.combinations(_label_codes(n, k), k))
-    ]
-
-
-def _orbit_coords(
-    vec: VkVector, n: BlockTriple, bound: int
-) -> tuple[list[tuple[int, int]], list[Fraction]]:
-    """The orbit label and the vector's coordinate at every k-subset, in
-    lexicographic order; ValueError past 2k > N, OracleBoundExceeded past
-    C(N, k) > bound, both before the walk."""
-    if vec.N != n.N:
-        raise ValueError(f"vector lives on {vec.N} points, blocks cover {n.N}")
-    check_k(n.N, vec.k)
-    _check_space_bound(n.N, vec.k, bound)
-    subsets = itertools.combinations(range(1, n.N + 1), vec.k)
-    return _orbit_labels(n, vec.k), [vec._coords.get(subset, ZERO) for subset in subsets]
-
-
 class _OrbitFrame(NamedTuple):
-    """Everything phi_module_oracle needs of (n, k) that does not depend on g."""
+    """Everything the module routines need of (n, k) that does not depend on g."""
 
     labels: tuple[tuple[int, int], ...]
     index: dict[int, int]  # label code -> position in labels
+    orbit: array  # position in labels of every k-subset, in lexicographic order
     sizes: tuple[int, ...]  # orbit size per label, counted
     common: int  # lcm of the orbit sizes
     divergence: tuple[tuple[int, ...], ...]  # distinct divergence rows
@@ -547,10 +526,12 @@ class _OrbitFrame(NamedTuple):
 # 512 holds every (n, k) with blocks <= 4 (288 of them).
 @functools.lru_cache(maxsize=512)
 def _orbit_frame(n: BlockTriple, k: int) -> _OrbitFrame:
-    """The orbit labels, sizes, divergence rows and invariant basis of (n, k), cached.
+    """The labels, orbits, sizes, divergence rows and invariant basis of (n, k), cached.
 
     Invariance under the block subgroup forces one unknown per orbit label.
-    One pass over the C(N, k) subsets counts each orbit and, for every
+    A subset's orbit is read off the sum of its points' label codes, taken
+    over the same combinations as the points. One pass over the C(N, k)
+    subsets keeps each one's orbit, counts each orbit and, for every
     (k-1)-subset S, through the cached face incidence, the labels of the
     subsets that contain S; the divergence of an orbit-constant vector at S
     is the sum of its values over those labels, so each distinct row of
@@ -566,10 +547,11 @@ def _orbit_frame(n: BlockTriple, k: int) -> _OrbitFrame:
     index = {u + v * base: a for a, (u, v) in enumerate(labels)}
     sizes = [0] * len(labels)
     faces, count = _subset_faces(n.N, k)
+    codes = map(sum, itertools.combinations(_label_codes(n, k), k))
+    orbit = array("I", map(index.__getitem__, codes))
     # One array of face counts per label; row S reads across them.
     columns = [array("I", [0]) * count for _ in labels]
-    for ids, code in zip(faces, map(sum, itertools.combinations(_label_codes(n, k), k))):
-        a = index[code]
+    for ids, a in zip(faces, orbit):
         sizes[a] += 1
         column = columns[a]
         for f in ids:
@@ -579,7 +561,7 @@ def _orbit_frame(n: BlockTriple, k: int) -> _OrbitFrame:
         CoeffTable(n, k, dict(zip(labels, vec)))
         for vec in linalg.nullspace(divergence, ncols=len(labels))
     )
-    return _OrbitFrame(labels, index, tuple(sizes), math.lcm(*sizes), divergence, basis)
+    return _OrbitFrame(labels, index, orbit, tuple(sizes), math.lcm(*sizes), divergence, basis)
 
 
 def _invariant_tables(n: BlockTriple, k: int) -> tuple[CoeffTable, ...]:
@@ -599,7 +581,21 @@ def invariants_in_Vk(n: BlockTriple, k: int, bound: int = DEFAULT_BOUND) -> list
     """
     check_k(n.N, k)
     _check_space_bound(n.N, k, bound)
-    return VkVector._from_tables(n.N, k, _orbit_labels(n, k), _invariant_tables(n, k))
+    frame = _orbit_frame(n, k)
+    values = [[table.get(*uv) for uv in frame.labels] for table in _invariant_tables(n, k)]
+    return VkVector._from_tables(n.N, k, frame.orbit, values)
+
+
+def _orbit_coords(vec: VkVector, n: BlockTriple, bound: int) -> tuple[_OrbitFrame, list[Fraction]]:
+    """The orbit frame of (n, k) and the vector's coordinate at every
+    k-subset, in lexicographic order; ValueError past 2k > N,
+    OracleBoundExceeded past C(N, k) > bound, both before the frame."""
+    if vec.N != n.N:
+        raise ValueError(f"vector lives on {vec.N} points, blocks cover {n.N}")
+    check_k(n.N, vec.k)
+    _check_space_bound(n.N, vec.k, bound)
+    subsets = itertools.combinations(range(1, n.N + 1), vec.k)
+    return _orbit_frame(n, vec.k), [vec._coords.get(subset, ZERO) for subset in subsets]
 
 
 def coeff_table_from_invariant(
@@ -608,8 +604,10 @@ def coeff_table_from_invariant(
     """Read the orbit constants off an invariant vector; reject non-constant
     ones, naming the orbit of the first subset that breaks the constant.
     Refuses 2k > N and C(N, k) past the bound before reading."""
+    frame, values = _orbit_coords(vec, n, bound)
     entries: dict[tuple[int, int], Fraction] = {}
-    for uv, value in zip(*_orbit_coords(vec, n, bound)):
+    for a, value in zip(frame.orbit, values):
+        uv = frame.labels[a]
         if entries.setdefault(uv, value) != value:
             raise ValueError(f"vector is not constant on the orbit {uv}")
     return CoeffTable(n, vec.k, entries)
@@ -618,13 +616,12 @@ def coeff_table_from_invariant(
 def project_to_invariant(vec: VkVector, n: BlockTriple, bound: int = DEFAULT_BOUND) -> VkVector:
     """Average the vector over each subset orbit of the block subgroup.
     Refuses 2k > N and C(N, k) past the bound before averaging."""
-    labels, values = _orbit_coords(vec, n, bound)
-    sums: dict[tuple[int, int], Fraction] = {}
-    sizes: Counter = Counter(labels)
-    for uv, value in zip(labels, values):
-        sums[uv] = sums.get(uv, ZERO) + value
-    means = {uv: sums[uv] / sizes[uv] for uv in sums}
-    return VkVector._from_tables(vec.N, vec.k, labels, [means])[0]
+    frame, values = _orbit_coords(vec, n, bound)
+    sums = [ZERO] * len(frame.labels)
+    for a, value in zip(frame.orbit, values):
+        sums[a] += value
+    means = [total / size for total, size in zip(sums, frame.sizes)]
+    return VkVector._from_tables(vec.N, vec.k, frame.orbit, [means])[0]
 
 
 def phi_module_oracle(

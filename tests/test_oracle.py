@@ -624,6 +624,21 @@ class TestVkVector:
                 VkVector(N, k, coords)
             assert str(excinfo.value) == message
 
+    @pytest.mark.parametrize(
+        "N, k, coords, message",
+        [
+            (4.5, 1, {(1,): 1, (2,): -1}, "N must be an int >= 0, got 4.5"),
+            (True, 0, {(): 1}, "N must be an int >= 0, got True"),
+            ("4", 1, {}, "N must be an int >= 0, got '4'"),
+            (-1, 0, {}, "N must be an int >= 0, got -1"),
+        ],
+    )
+    def test_rejects_bad_n_before_k(self, N, k, coords, message):
+        """The subset rule checks N before k and the keys."""
+        with pytest.raises(ValueError) as excinfo:
+            VkVector(N, k, coords)
+        assert str(excinfo.value) == message
+
     def test_accepts_every_k_from_zero_to_n(self):
         assert VkVector(4, 0, {}).k == 0
         assert VkVector(4, 4, {}).k == 4
@@ -844,13 +859,14 @@ class TestInvariants:
         assert compared == 288
 
     def test_orbit_labels_match_point_labels(self):
-        """The labels read off summed label codes against counting each
-        subset's points block by block, at every (n, k) with blocks <= 4."""
+        """The frame's orbits, read off summed label codes, against counting
+        each subset's points block by block, at every (n, k) with blocks <= 4."""
         compared = 0
         for n in small_triples(4):
             for k in range(n.N // 2 + 1):
                 expected = [uv for _, uv in point_labels(n, k)]
-                assert oracle._orbit_labels(n, k) == expected, (n, k)
+                frame = oracle._orbit_frame(n, k)
+                assert [frame.labels[a] for a in frame.orbit] == expected, (n, k)
                 compared += 1
         assert compared == 288
 
@@ -917,11 +933,11 @@ class TestInvariants:
 
     @pytest.mark.parametrize("walk", [project_to_invariant, coeff_table_from_invariant])
     def test_walks_refuse_past_the_bound_before_walking(self, walk, monkeypatch):
-        """Both walks check k and C(N, k) before they label a subset."""
+        """Both walks check k and C(N, k) before they build an orbit frame."""
         def no_walk(n, k):
             raise AssertionError("walked")
 
-        monkeypatch.setattr(oracle, "_orbit_labels", no_walk)
+        monkeypatch.setattr(oracle, "_orbit_frame", no_walk)
         with pytest.raises(OracleBoundExceeded) as excinfo:
             walk(VkVector(20, 10, {}), BlockTriple(7, 7, 6), bound=1000)
         assert str(excinfo.value) == "monomial space size C(20,10) = 184756 exceeds bound 1000"
@@ -931,6 +947,46 @@ class TestInvariants:
         with pytest.raises(ValueError) as excinfo:
             walk(VkVector(4, 3, {}), BlockTriple(2, 1, 1))
         assert str(excinfo.value) == "need 0 <= 2k <= N, got k = 3, N = 4"
+
+    def test_reads_do_not_depend_on_the_frame_cache(self, monkeypatch):
+        """coeff_table_from_invariant and project_to_invariant at blocks <= 3,
+        k = 0 included, on each invariant vector and on one vector that is
+        not invariant: a cleared, a warm and a one-entry orbit frame cache
+        give the same tables and projections."""
+        cache = oracle._orbit_frame
+        cases = []
+        for n in small_triples(3):
+            for k in range(n.N // 2 + 1):
+                cases += [(n, vec) for vec in invariants_in_Vk(n, k)]
+            cases.append((n, VkVector(n.N, 1, {(1,): 1, (n.N,): -1})))
+        assert any(vec.k == 0 for _, vec in cases)
+
+        def reads(n, vec):
+            projected = project_to_invariant(vec, n)
+            try:
+                table = coeff_table_from_invariant(vec, n)
+            except ValueError as error:
+                table = str(error)
+            return table, projected
+
+        cleared = {}
+        for i, case in enumerate(cases):
+            cache.cache_clear()
+            cleared[i] = reads(*case)
+        assert {i: reads(*case) for i, case in enumerate(cases)} == cleared
+        assert cache.cache_info().hits > 0
+        assert any(isinstance(table, str) for table, _ in cleared.values())
+        assert any(isinstance(table, CoeffTable) for table, _ in cleared.values())
+
+        # A one-entry cache, swept block triple by block triple, so that an
+        # (n, k) comes back after others have evicted it.
+        evicting = functools.lru_cache(maxsize=1)(cache.__wrapped__)
+        monkeypatch.setattr(oracle, "_orbit_frame", evicting)
+        overfilled = {i: reads(*case) for i, case in enumerate(cases)}
+        info = evicting.cache_info()
+        assert info.currsize == info.maxsize
+        assert info.misses > len({(n, vec.k) for n, vec in cases})
+        assert overfilled == cleared
 
     @pytest.mark.parametrize("walk", [project_to_invariant, coeff_table_from_invariant])
     def test_walks_run_at_the_bound(self, walk):
