@@ -9,6 +9,7 @@ two-variable one in (u, v).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -46,12 +47,10 @@ def _hahn_weights(m: int, alpha: int, beta: int) -> list[int]:
     ]
 
 
-def _hahn_sum(weights: list[int], gamma, t):
-    """sum_i w_i (-t)_i (t-gamma)_{m-i}, an integer when t and gamma are."""
-    m = len(weights) - 1
-    lower = _rising(-t, m)
-    upper = _rising(t - gamma, m)
-    return sum(w * lower[i] * upper[m - i] for i, w in enumerate(weights))
+def _hahn_sum(weights: list[int], lower: list, upper: list):
+    """sum_i w_i (-t)_i (t-gamma)_{m-i}, given lower = _rising(-t, m) and
+    upper = _rising(t - gamma, m); an integer when t and gamma are."""
+    return sum(map(operator.mul, weights, map(operator.mul, lower, reversed(upper))))
 
 
 def hahn_E(m: int, alpha: int, beta: int, gamma, t) -> Fraction:
@@ -60,9 +59,11 @@ def hahn_E(m: int, alpha: int, beta: int, gamma, t) -> Fraction:
     E_m = sum_i (-1)^i C(m, i) (beta-m+1)_i (alpha-m+1)_{m-i} (-t)_i (t-gamma)_{m-i}.
 
     The t-free weights and the t-dependent sum are split so that psi_table
-    can compute the weights once per table; this is the only body of E_m.
+    can compute the weights once per table and the rising factorials once
+    per axis value; this is the only body of E_m.
     """
-    return Fraction(_hahn_sum(_hahn_weights(m, alpha, beta), gamma, t))
+    weights = _hahn_weights(m, alpha, beta)
+    return Fraction(_hahn_sum(weights, _rising(-t, m), _rising(t - gamma, m)))
 
 
 @dataclass(frozen=True)
@@ -74,6 +75,9 @@ class HahnContext:
     m: int
 
     def __post_init__(self):
+        for name, value in (("k", self.k), ("m", self.m)):
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an int, got {value!r}")
         m_lower, m_upper = m_range(self.n, self.k)
         if not m_lower <= self.m <= m_upper:
             raise ValueError(
@@ -131,6 +135,13 @@ class CoeffTable:
         # In grid order, which is sorted: labels(), items() and the hash read it as is.
         self._entries = {uv: Fraction(entries.get(uv, 0)) for uv in grid}
 
+    @classmethod
+    def _from_grid(cls, n: BlockTriple, k: int, grid: Iterable, values: Iterable) -> "CoeffTable":
+        """Fractions in the order of grid = admissible_grid(n, k), taken unchecked."""
+        table = object.__new__(cls)
+        table._n, table._k, table._entries = n, k, dict(zip(grid, values))
+        return table
+
     @property
     def n(self) -> BlockTriple:
         return self._n
@@ -154,9 +165,8 @@ class CoeffTable:
 
     def scaled(self, factor) -> "CoeffTable":
         factor = Fraction(factor)
-        return CoeffTable(
-            self._n, self._k, {uv: factor * x for uv, x in self._entries.items()}
-        )
+        values = [factor * x for x in self._entries.values()]
+        return CoeffTable._from_grid(self._n, self._k, self._entries, values)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CoeffTable):
@@ -175,23 +185,24 @@ class CoeffTable:
         return f"CoeffTable(n={self._n.sizes}, k={self._k}, {nonzero})"
 
 
-def psi_table(ctx: HahnContext) -> CoeffTable:
-    """The invariant vector labeled m, tabulated over the orbit grid.
+def _psi_values(ctx: HahnContext, grid: list[tuple[int, int]]) -> list[int]:
+    """The integers psi1(u + v) psi2(u, v) at the labels of grid, in order.
 
-    Entry (u, v) is psi1(u + v) psi2(u, v). The Hahn weights of both factors
-    are computed once per table, and every grid point is then evaluated in
-    integers, with psi1 once per value of u + v.
-    """
-    first_shape, first_at = _psi1_parameters(ctx)
-    second_shape, second_at = _psi2_parameters(ctx)
-    first_weights = _hahn_weights(*first_shape)
-    second_weights = _hahn_weights(*second_shape)
+    Each factor's Hahn weights are taken once and psi1 once per value of
+    u + v. psi2 at (u, v) has t = v and gamma = u + v, so its sum reads
+    (-v)_i and (t - gamma)_{m-i} = (-u)_{m-i} off one rising list per axis value."""
+    (degree, *first_shape), first_at = _psi1_parameters(ctx)
+    first_weights = _hahn_weights(degree, *first_shape)
+    second_weights = _hahn_weights(*_psi2_parameters(ctx)[0])
+    first_factor = {}
+    for t in {u + v for u, v in grid}:
+        gamma, s = first_at(t)
+        first_factor[t] = _hahn_sum(first_weights, _rising(-s, degree), _rising(s - gamma, degree))
+    axis = [_rising(-x, ctx.m) for x in range(ctx.k + 1)]
+    return [first_factor[u + v] * _hahn_sum(second_weights, axis[v], axis[u]) for u, v in grid]
+
+
+def psi_table(ctx: HahnContext) -> CoeffTable:
+    """The invariant vector labeled m over the orbit grid: psi1(u + v) psi2(u, v)."""
     grid = admissible_grid(ctx.n, ctx.k)
-    first_factor = {
-        t: _hahn_sum(first_weights, *first_at(t)) for t in {u + v for u, v in grid}
-    }
-    entries = {
-        (u, v): first_factor[u + v] * _hahn_sum(second_weights, *second_at(u, v))
-        for u, v in grid
-    }
-    return CoeffTable(ctx.n, ctx.k, entries)
+    return CoeffTable._from_grid(ctx.n, ctx.k, grid, map(Fraction, _psi_values(ctx, grid)))

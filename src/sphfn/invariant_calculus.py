@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Mapping
 
 from . import linalg
 from .characters import m_range
 from .core import ZERO, BlockTriple, pair_blocks
-from .hahn import CoeffTable, HahnContext, admissible_grid, psi1, psi2, psi_table
+from .hahn import CoeffTable, HahnContext, _psi_values, psi1, psi2, psi_table
 
 __all__ = [
     "check_difference_equation",
@@ -39,19 +40,18 @@ def check_difference_equation(table: CoeffTable) -> bool:
     Membership of the encoded vector in the degree-k module is equivalent to
     (n1-u) f(u+1, v) + (n2-v) f(u, v+1) + (n3-k+1+u+v) f(u, v) = 0 at every
     label (u, v) of the degree-(k-1) rectangle u + v <= k - 1, with f read as
-    zero off the grid.
+    zero off the grid. The table is scaled to integers once.
     """
     n, k = table.n, table.k
-    for u in range(n.n1 + 1):
-        for v in range(n.n2 + 1):
-            if u + v > k - 1:
-                continue
-            lhs = (
-                (n.n1 - u) * table.get(u + 1, v)
-                + (n.n2 - v) * table.get(u, v + 1)
-                + (n.n3 - k + 1 + u + v) * table.get(u, v)
-            )
-            if lhs != 0:
+    values, _ = linalg.over_common_denominator(x for _, x in table.items())
+    f = dict(zip(table.labels(), values))
+    for u in range(min(n.n1, k - 1) + 1):
+        for v in range(min(n.n2, k - 1 - u) + 1):
+            if (
+                (n.n1 - u) * f.get((u + 1, v), 0)
+                + (n.n2 - v) * f.get((u, v + 1), 0)
+                + (n.n3 - k + 1 + u + v) * f.get((u, v), 0)
+            ):
                 return False
     return True
 
@@ -59,8 +59,8 @@ def check_difference_equation(table: CoeffTable) -> bool:
 def _averaged_cycle(table: CoeffTable, blocks: tuple[int, ...]) -> CoeffTable:
     """The module docstring's rule for ascending blocks, summed in integers."""
     n, k = table.n, table.k
-    grid = admissible_grid(n, k)
-    values, scale = linalg.over_common_denominator(table.get(u, v) for u, v in grid)
+    grid = table.labels()
+    values, scale = linalg.over_common_denominator(x for _, x in table.items())
     scaled = dict(zip(grid, values))
     sizes = [n.size(b) for b in blocks]
     patterns = []
@@ -70,7 +70,7 @@ def _averaged_cycle(table: CoeffTable, blocks: tuple[int, ...]) -> CoeffTable:
             step[b - 1] -= chosen[i]
             step[blocks[i - 1] - 1] += chosen[i]
         patterns.append((chosen, step[0], step[1]))
-    entries: dict[tuple[int, int], Fraction] = {}
+    entries = []
     for u, v in grid:
         counts = [(u, v, k - u - v)[b - 1] for b in blocks]
         total = 0
@@ -81,8 +81,8 @@ def _averaged_cycle(table: CoeffTable, blocks: tuple[int, ...]) -> CoeffTable:
                 for c, x, size in zip(chosen, counts, sizes):
                     weight *= x if c else size - x
                 total += weight * source
-        entries[(u, v)] = Fraction(total, scale * math.prod(sizes))
-    return CoeffTable(n, k, entries)
+        entries.append(Fraction(total, scale * math.prod(sizes)))
+    return CoeffTable._from_grid(n, k, grid, entries)
 
 
 def apply_rho_g2(table: CoeffTable, pair: tuple[int, int] = (1, 2)) -> CoeffTable:
@@ -106,18 +106,17 @@ def extract_leading_coeff(table: CoeffTable, m: int) -> Fraction:
     The basis is triangular along the v = 0 edge: the j-th vector vanishes at
     (u, 0) for u < j. Given that the expansion of the table has no component
     below index m - 1 (checked via its edge values), two edge evaluations
-    determine the m-th coefficient.
+    determine the m-th coefficient; psi_m(m, 0) is nonzero, as
+    expand_in_psi_basis shows.
     """
     n, k = table.n, table.k
+    ctx = HahnContext(n, k, m)
     for u in range(min(m - 1, n.n1 + 1)):
         if table.get(u, 0) != 0:
             raise ValueError(
                 f"edge value at ({u}, 0) is nonzero; components below {m - 1} present"
             )
-    ctx = HahnContext(n, k, m)
     lead = psi1(ctx, m) * psi2(ctx, m, 0)
-    if lead == 0:
-        raise ArithmeticError(f"degenerate edge value for m = {m}, n = {n.sizes}, k = {k}")
     correction = Fraction(m * (k - m - n.n3), n.n1 + n.n2 - 2 * m + 2)
     return (table.get(m, 0) - correction * table.get(m - 1, 0)) / lead
 
@@ -173,21 +172,35 @@ class InvariantExpansion:
 
 
 def expand_in_psi_basis(table: CoeffTable) -> InvariantExpansion:
-    """Solve for the unique Hahn-basis coordinates of the table.
+    """The unique Hahn-basis coordinates of the table, read off the v = 0 edge.
 
-    Raises ValueError when the table lies outside the span, which catches any
-    operator that would leak out of the invariant subspace.
+    The basis is triangular there: psi_j(u, 0) = 0 for u < j, and psi_m(m, 0)
+    = (n1+n2-m-k+1)_{k-m} (k-m)! (n2-m+1)_m (-1)^m m! is nonzero, as m <= n2
+    and m <= n1+n2-k. (m, 0) is on the grid for m_L <= m <= m_U, so forward
+    substitution along it gives the only coordinates the table can have. The
+    table must equal their combination at every label, checked exactly in
+    integers, or ValueError is raised as an inconsistent linear system; this
+    catches any operator that would leak out of the invariant subspace.
     """
     n, k = table.n, table.k
     m_lower, m_upper = m_range(n, k)
-    labels = table.labels()
-    indices = list(range(m_lower, m_upper + 1))
+    indices = range(m_lower, m_upper + 1)
     if not indices:
         if table.is_zero():
             return InvariantExpansion(n, k, {})
         raise ValueError("nonzero table but the basis is empty")
-    columns = [psi_table(HahnContext(n, k, m)) for m in indices]
-    matrix = [[col.get(u, v) for col in columns] for u, v in labels]
-    rhs = [table.get(u, v) for u, v in labels]
-    coords = linalg.solve(matrix, rhs)
-    return InvariantExpansion(n, k, dict(zip(indices, coords)))
+    grid = table.labels()
+    values, scale = linalg.over_common_denominator(x for _, x in table.items())
+    columns = [_psi_values(HahnContext(n, k, m), grid) for m in indices]
+    coords = []  # the table times scale is sum_j coords[j] columns[j]
+    for m, column in zip(indices, columns):
+        a = grid.index((m, 0))
+        below = sum(c * col[a] for c, col in zip(coords, columns))
+        coords.append((values[a] - below) / Fraction(column[a]))
+    numerators, common = linalg.over_common_denominator(coords)
+    for row, y in zip(zip(*columns), values):
+        if sum(map(operator.mul, numerators, row)) != y * common:
+            raise ValueError("inconsistent linear system")
+    return InvariantExpansion(
+        n, k, {m: Fraction(x, common * scale) for m, x in zip(indices, numerators)}
+    )

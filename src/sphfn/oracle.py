@@ -558,7 +558,7 @@ def _orbit_frame(n: BlockTriple, k: int) -> _OrbitFrame:
             column[f] += 1
     divergence = tuple(sorted(set(zip(*columns))))
     basis = tuple(
-        CoeffTable(n, k, dict(zip(labels, vec)))
+        CoeffTable._from_grid(n, k, labels, vec)
         for vec in linalg.nullspace(divergence, ncols=len(labels))
     )
     return _OrbitFrame(labels, index, orbit, tuple(sizes), math.lcm(*sizes), divergence, basis)

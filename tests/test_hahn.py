@@ -90,6 +90,22 @@ class TestContext:
         with pytest.raises(ValueError):
             HahnContext(n, 2, 0)
 
+    @pytest.mark.parametrize(
+        "k,m,message",
+        [
+            (3, 1.5, "m must be an int, got 1.5"),
+            (3, Fraction(1), "m must be an int, got Fraction(1, 1)"),
+            (3, True, "m must be an int, got True"),
+            (1.0, 1, "k must be an int, got 1.0"),
+            (True, 0, "k must be an int, got True"),
+            (1.5, 1.5, "k must be an int, got 1.5"),
+        ],
+    )
+    def test_rejects_non_int_k_and_m(self, k, m, message):
+        with pytest.raises(ValueError) as info:
+            HahnContext(BlockTriple(3, 3, 3), k, m)
+        assert str(info.value) == message
+
 
 class TestSpecialValues:
     """The edge evaluations that the coefficient-extraction formula relies on."""
@@ -136,6 +152,29 @@ class TestSpecialValues:
             * math.factorial(k - m)
         )
         assert psi_table(ctx).get(m, 0) == expected
+
+
+class TestEdgeDiagonal:
+    """The triangular v = 0 edge that expand_in_psi_basis substitutes along."""
+
+    def test_closed_form_and_nonzero_at_blocks_le_8(self):
+        checked = 0
+        for ctx in contexts(8):
+            n, k, m = ctx.n, ctx.k, ctx.m
+            assert (m, 0) in admissible_grid(n, k), ctx
+            edge = [(u, 0) for u in range(m + 1)]
+            values = hahn._psi_values(ctx, edge)
+            assert values[:m] == [0] * m, ctx
+            expected = (
+                pochhammer(n.n1 + n.n2 - m - k + 1, k - m)
+                * math.factorial(k - m)
+                * pochhammer(n.n2 - m + 1, m)
+                * (-1) ** m
+                * math.factorial(m)
+            )
+            assert values[m] == expected != 0, ctx
+            checked += 1
+        assert checked == 9784
 
 
 class TestCoeffTable:
@@ -205,6 +244,13 @@ class TestPsiTable:
             ]
             matrix = [[t.get(u, v) for t in tables] for (u, v) in grid]
             assert linalg.rank(matrix) == multiplicity(n, k)
+
+    def test_entries_are_fractions_as_the_checked_constructor_builds(self):
+        for ctx in contexts(4):
+            table = psi_table(ctx)
+            assert all(type(x) is Fraction for _, x in table.items()), ctx
+            assert table == CoeffTable(ctx.n, ctx.k, dict(table.items())), ctx
+            assert table.labels() == admissible_grid(ctx.n, ctx.k), ctx
 
     def test_entries_are_psi1_times_psi2(self):
         for ctx in contexts(5):

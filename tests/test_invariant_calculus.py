@@ -1,10 +1,12 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sphfn import linalg
 from sphfn.characters import m_range, multiplicity
 from sphfn.closed_form import g3_diagonal_coeff, phi_2cycle, phi_3cycle
 from sphfn.core import BlockTriple, embed_cycle, pair_blocks
@@ -80,6 +82,45 @@ def reference_apply_rho_g3(table):
     return CoeffTable(n, k, entries)
 
 
+def reference_expand_in_psi_basis(table):
+    """The dense solve: every psi table a column, every label an equation."""
+    n, k = table.n, table.k
+    m_lower, m_upper = m_range(n, k)
+    labels = table.labels()
+    indices = list(range(m_lower, m_upper + 1))
+    if not indices:
+        if table.is_zero():
+            return InvariantExpansion(n, k, {})
+        raise ValueError("nonzero table but the basis is empty")
+    columns = [psi_table(HahnContext(n, k, m)) for m in indices]
+    matrix = [[col.get(u, v) for col in columns] for u, v in labels]
+    rhs = [table.get(u, v) for u, v in labels]
+    coords = linalg.solve(matrix, rhs)
+    return InvariantExpansion(n, k, dict(zip(indices, coords)))
+
+
+def reference_check_difference_equation(table):
+    """The recurrence in Fractions, over the whole (n1+1) x (n2+1) rectangle."""
+    n, k = table.n, table.k
+    return all(
+        (n.n1 - u) * table.get(u + 1, v)
+        + (n.n2 - v) * table.get(u, v + 1)
+        + (n.n3 - k + 1 + u + v) * table.get(u, v)
+        == 0
+        for u in range(n.n1 + 1)
+        for v in range(n.n2 + 1)
+        if u + v <= k - 1
+    )
+
+
+def expansion_outcome(expand, table):
+    """The expansion with its coefficients as (m, Fraction) pairs, or the error message."""
+    try:
+        return [(m, c, type(c)) for m, c in expand(table).items()]
+    except ValueError as exc:
+        return str(exc)
+
+
 @st.composite
 def arbitrary_tables(draw):
     """Any Fraction table on the grid: sparse or dense, in the module or not."""
@@ -109,6 +150,14 @@ def expansions(draw):
     return InvariantExpansion(n, k, coeffs)
 
 
+@st.composite
+def member_or_arbitrary_tables(draw):
+    """A table of the module (passes), or any table (almost always fails)."""
+    if draw(st.booleans()):
+        return draw(expansions()).as_table()
+    return draw(arbitrary_tables())
+
+
 class TestDifferenceEquation:
     def test_hand_built_member(self):
         n = BlockTriple(1, 1, 1)
@@ -127,6 +176,26 @@ class TestDifferenceEquation:
     def test_hahn_tables_satisfy_it(self):
         for ctx in contexts(4):
             assert check_difference_equation(psi_table(ctx)), ctx
+
+    @settings(max_examples=200, deadline=None)
+    @given(member_or_arbitrary_tables())
+    def test_matches_fraction_recurrence(self, table):
+        assert check_difference_equation(table) == reference_check_difference_equation(table)
+
+    def test_matches_fraction_recurrence_near_the_module(self):
+        """Each Hahn table passes; one entry moved, it fails, in both versions."""
+        rng = random.Random(22)
+        outcomes = set()
+        for ctx in contexts(4):
+            table = psi_table(ctx)
+            entries = dict(table.items())
+            uv = rng.choice(table.labels())
+            entries[uv] += Fraction(rng.randint(1, 9), rng.randint(1, 4))
+            for candidate in (table, CoeffTable(ctx.n, ctx.k, entries)):
+                member = check_difference_equation(candidate)
+                assert member == reference_check_difference_equation(candidate), (ctx, uv)
+                outcomes.add(member)
+        assert outcomes == {True, False}
 
 
 class TestRhoG2:
@@ -321,6 +390,13 @@ class TestExtraction:
         with pytest.raises(ValueError):
             extract_leading_coeff(table, 2)
 
+    def test_out_of_range_m_names_the_range(self):
+        n = BlockTriple(3, 3, 3)
+        table = psi_table(HahnContext(n, 3, 0))
+        with pytest.raises(ValueError) as info:
+            extract_leading_coeff(table, 5)
+        assert str(info.value) == "m = 5 outside [0, 3] for n = (3, 3, 3), k = 3"
+
 
 class TestExpansion:
     def test_rejects_out_of_range_index(self):
@@ -356,14 +432,50 @@ class TestExpansion:
 
     def test_rejects_table_outside_span(self):
         n = BlockTriple(1, 1, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^inconsistent linear system$"):
             expand_in_psi_basis(CoeffTable(n, 1, {(0, 0): 1}))
 
     def test_rejects_nonzero_table_with_empty_basis(self):
         n = BlockTriple(1, 1, 4)
         assert multiplicity(n, 3) == 0
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^nonzero table but the basis is empty$"):
             expand_in_psi_basis(CoeffTable(n, 3, {(0, 0): 1}))
+
+    def test_matches_dense_solve_at_blocks_le_5(self):
+        """Every Hahn table, its 3-cycle image and its three 2-cycle images."""
+        for ctx in contexts(5):
+            table = psi_table(ctx)
+            images = [table, apply_rho_g3(table)] + [apply_rho_g2(table, p) for p in PAIRS]
+            for image in images:
+                expected = expansion_outcome(reference_expand_in_psi_basis, image)
+                assert isinstance(expected, list), ctx
+                assert expansion_outcome(expand_in_psi_basis, image) == expected, ctx
+
+    def test_matches_dense_solve_outside_the_span(self):
+        """Seeded tables off the span: a Hahn table with one entry moved, and
+        random tables, including at an (n, k) with an empty basis."""
+        rng = random.Random(22)
+        messages = set()
+        for ctx in contexts(4):
+            entries = dict(psi_table(ctx).items())
+            uv = rng.choice(list(entries))
+            entries[uv] += Fraction(rng.randint(1, 9), rng.randint(1, 4))
+            noise = {uv: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for uv in entries}
+            for candidate in (entries, noise):
+                table = CoeffTable(ctx.n, ctx.k, candidate)
+                expected = expansion_outcome(reference_expand_in_psi_basis, table)
+                assert expansion_outcome(expand_in_psi_basis, table) == expected, ctx
+                messages.add(expected if isinstance(expected, str) else None)
+        empty = CoeffTable(BlockTriple(1, 1, 4), 3, {(0, 0): Fraction(2, 3)})
+        expected = expansion_outcome(reference_expand_in_psi_basis, empty)
+        assert expansion_outcome(expand_in_psi_basis, empty) == expected
+        assert "inconsistent linear system" in messages
+
+    @settings(max_examples=100, deadline=None)
+    @given(member_or_arbitrary_tables())
+    def test_matches_dense_solve_on_any_table(self, table):
+        expected = expansion_outcome(reference_expand_in_psi_basis, table)
+        assert expansion_outcome(expand_in_psi_basis, table) == expected
 
     @settings(max_examples=40, deadline=None)
     @given(expansions())
