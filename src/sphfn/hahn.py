@@ -66,6 +66,14 @@ def hahn_E(m: int, alpha: int, beta: int, gamma, t) -> Fraction:
     return Fraction(_hahn_sum(weights, _rising(-t, m), _rising(t - gamma, m)))
 
 
+def _check_n_k(n: BlockTriple, k: int) -> None:
+    """Reject n that is not a BlockTriple and k that is not an int (a bool is not)."""
+    if not isinstance(n, BlockTriple):
+        raise ValueError(f"n must be a BlockTriple, got {n!r}")
+    if type(k) is not int:
+        raise ValueError(f"k must be an int, got {k!r}")
+
+
 @dataclass(frozen=True)
 class HahnContext:
     """Block sizes, degree k and multiplicity label m for one invariant vector."""
@@ -75,9 +83,9 @@ class HahnContext:
     m: int
 
     def __post_init__(self):
-        for name, value in (("k", self.k), ("m", self.m)):
-            if type(value) is not int:
-                raise ValueError(f"{name} must be an int, got {value!r}")
+        _check_n_k(self.n, self.k)
+        if type(self.m) is not int:
+            raise ValueError(f"m must be an int, got {self.m!r}")
         m_lower, m_upper = m_range(self.n, self.k)
         if not m_lower <= self.m <= m_upper:
             raise ValueError(
@@ -126,6 +134,7 @@ class CoeffTable:
     __slots__ = ("_n", "_k", "_entries")
 
     def __init__(self, n: BlockTriple, k: int, entries: Mapping[tuple[int, int], object]):
+        _check_n_k(n, k)
         grid = admissible_grid(n, k)
         bad = set(entries).difference(grid)
         if bad:

@@ -127,6 +127,9 @@ class InvariantExpansion:
     __slots__ = ("_n", "_k", "_coeffs")
 
     def __init__(self, n: BlockTriple, k: int, coeffs: Mapping[int, object]):
+        bad = [m for m in coeffs if type(m) is not int]
+        if bad:
+            raise ValueError(f"indices {bad} are not ints")
         m_lower, m_upper = m_range(n, k)
         bad = [m for m in coeffs if not m_lower <= m <= m_upper]
         if bad:

@@ -4,13 +4,13 @@ Small dense systems only, which is all the invariant computations need. The
 elimination is fraction-free Gauss-Jordan (after Bareiss, Math. Comp. 22,
 1968, but keeping entries small by the gcd of each row rather than by exact
 division by the previous pivot): each row is scaled to integers once, a row
-is cleared by p * row - q * pivot_row and divided by the gcd of its entries,
-and the pivot rows are divided by their pivots only at the end. One integer
-core, _eliminate, serves every routine: row_echelon divides every entry,
-nullspace only its kernel's nonzero entries, solve only the right-hand
-column, and rank counts the pivots. The reduced row echelon form is unique,
-so the Fractions returned are exactly those of plain Gauss-Jordan
-elimination over Fraction.
+of ints taken as it is; a row is cleared by p * row - q * pivot_row and
+divided by the gcd of its entries, and the pivot rows are divided by their
+pivots only at the end. One integer core, _eliminate, serves every routine:
+row_echelon divides every entry, nullspace only its kernel's nonzero
+entries, solve only the right-hand column, and rank counts the pivots. The
+reduced row echelon form is unique, so the Fractions returned are exactly
+those of plain Gauss-Jordan elimination over Fraction.
 """
 from __future__ import annotations
 
@@ -24,7 +24,12 @@ __all__ = ["row_echelon", "nullspace", "solve", "rank", "over_common_denominator
 
 
 def over_common_denominator(values: Iterable) -> tuple[list[int], int]:
-    """Integers x_i and the positive lcm d of the denominators, values_i = x_i / d."""
+    """Integers x_i and the positive lcm d of the denominators, values_i = x_i / d.
+
+    Values that are all ints come back as they are, over d = 1."""
+    values = list(values)
+    if set(map(type, values)) <= {int}:
+        return values, 1
     values = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in values]
     scale = math.lcm(*(x.denominator for x in values))
     return [x.numerator * (scale // x.denominator) for x in values], scale

@@ -34,12 +34,13 @@ The caches; no value depends on what they hold:
 * _orbit_frame, bounded (the 512 most recent (n, k)), keyed by (n, k): the
   module oracle's orbit frame, its labels, the orbit of every k-subset
   (four bytes a subset), orbit sizes and distinct divergence rows, and the
-  invariant basis, the nullspace of those rows, shared by the five cycles
-  of one (n, k), invariants_in_Vk and the two routines that read orbits;
+  invariant basis, the nullspace of those rows scaled to integers once,
+  shared by the five cycles of one (n, k), invariants_in_Vk and the two
+  routines that read orbits;
 * _face_incidence, bounded (the 64 most recent (N, k)), keyed by (N, k):
   the position of each face of each k-subset among the (k-1)-subsets, four
-  bytes a face, shared by the orbit frames and every vector the module
-  builds on [1, N] at degree k.
+  bytes a face, shared by the orbit frames and build_Vk_basis on [1, N] at
+  degree k.
 
 A call of the module oracle counts how g moves subsets between orbits and
 reads the trace off the reduced basis, with no linear solve. Caching skips
@@ -47,17 +48,16 @@ no check: every call still checks each basis table and each projected image
 for divergence and for lying in the basis's span, and every VkVector handed
 out checks its own.
 
-Faces are summed by one kernel, _faces_cancel. The module's own walks take
-every k-subset in lexicographic order, and the faces of each from the
-cached incidence of (N, k): the orbit frame counts its divergence rows
-through it, build_Vk_basis reads its equations off it, and every vector
-_from_tables builds sums its divergence over it, each from its own
-coordinates. Keys a caller gives VkVector pass the one subset rule, and
-their faces are bitmasks, a subset's sum of 1 << p with one point's bit
-dropped. The orbit frame labels every k-subset once; reading a table off
-a vector and projecting one take the orbits from it through
-_orbit_coords, which refuses 2k > N and C(N, k) past its bound before it
-reads a coordinate.
+A table of orbit values is divergence free when it is orthogonal to the
+divergence rows of its orbits, its vector's face sums grouped by orbit;
+one kernel, _rows_cancel, checks every table phi_module_oracle uses and
+every vector _from_tables builds, against the orbit frame's rows, counted
+off the cached face incidence, or build_Vk_basis's equations. Keys a
+caller gives VkVector pass the one subset rule, and _faces_cancel sums
+their faces as bitmasks, a subset's sum of 1 << p with one point's bit
+dropped. Reading a table off a vector and projecting one take the orbits
+from the frame through _orbit_coords, which refuses 2k > N and C(N, k)
+past its bound before it reads a coordinate.
 """
 from __future__ import annotations
 
@@ -362,19 +362,26 @@ def _mask_faces(keys: Iterable[tuple[int, ...]], masks: Iterable[int]) -> Iterat
     return (map(mask.__xor__, map((1).__lshift__, key)) for key, mask in zip(keys, masks))
 
 
-def _faces_cancel(faces: Iterable[Iterable[int]], values: Iterable[int], sums) -> bool:
-    """Whether integer coordinates sum to zero at every face.
-
-    faces gives each coordinate's faces, as keys of sums, which reads zero
-    at each: positions from _subset_faces into a list of zeros, or bitmasks
-    from _mask_faces into a defaultdict(int). Each coordinate adds its value
-    at each of its faces.
-    """
+def _faces_cancel(faces: Iterable[Iterable[int]], values: Iterable[int]) -> bool:
+    """Whether integer coordinates sum to zero at every face: each adds its
+    value at each of its faces, given as bitmasks by _mask_faces."""
+    sums: defaultdict[int, int] = defaultdict(int)
     for ids, x in zip(faces, values):
         if x:
             for f in ids:
                 sums[f] += x
-    return not any(sums.values() if isinstance(sums, dict) else sums)
+    return not any(sums.values())
+
+
+def _rows_cancel(rows: Iterable[Sequence[int]], values: Sequence[int]) -> bool:
+    """Whether integer values, one per column, are orthogonal to every row."""
+    return not any(sum(map(operator.mul, row, values)) for row in rows)
+
+
+def _over_one_scale(vectors: Sequence[Sequence]) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Vectors of one length as integer rows over one positive scale."""
+    flat, scale = linalg.over_common_denominator(itertools.chain.from_iterable(vectors))
+    return tuple(zip(*[iter(flat)] * len(vectors[0]))) if vectors else (), scale
 
 
 class VkVector:
@@ -389,9 +396,10 @@ class VkVector:
     integers, on the coordinates scaled by the lcm of their denominators,
     with the faces of the keys given as bitmasks. Every vector this module
     hands out passes the divergence check, through the constructor or
-    through _from_tables, which makes its own keys and reads their faces
-    off the cached incidence; phi_module_oracle builds no vector and makes
-    the same divergence check itself, on every vector it uses.
+    through _from_tables, which makes its own keys and checks each table
+    against the divergence rows of its orbits, the same face sums grouped
+    by orbit; phi_module_oracle builds no vector and makes the same row
+    check itself, on every vector it uses.
     """
 
     __slots__ = ("_N", "_k", "_coords")
@@ -400,41 +408,34 @@ class VkVector:
         keys, masks = _subset_keys(N, k, coords)
         values = [x if isinstance(x, Fraction) else Fraction(x) for x in coords.values()]
         scaled = linalg.over_common_denominator(values)[0]
-        self._fill(N, k, keys, values, scaled, _mask_faces(keys, masks), defaultdict(int))
+        if not _faces_cancel(_mask_faces(keys, masks), scaled):
+            raise ValueError("coordinates violate the divergence condition")
+        self._N, self._k = N, k
+        self._coords = dict(itertools.compress(zip(keys, values), scaled))
 
     @classmethod
-    def _from_tables(
-        cls, N: int, k: int, orbit: Sequence[int], tables: Iterable[Sequence]
-    ) -> list["VkVector"]:
-        """One vector per table, with the table's value at each subset's orbit.
+    def _from_tables(cls, N: int, k: int, orbit, divergence, rows, scale: int) -> list["VkVector"]:
+        """One vector per integer table, row[a] / scale at each subset of orbit a.
 
         orbit gives a position in the tables for every k-subset of [1, N] in
-        lexicographic order, so the keys are made here, not checked, and
-        their faces are the cached incidence's. A table is a sequence of
-        values, one per position; each is scaled to integers once, over its
-        own values.
+        lexicographic order, so the keys are made here, not checked.
+        divergence holds the distinct divergence rows of those orbits: a
+        table's products with them are its vector's face sums, grouped by
+        orbit, and ValueError is raised unless each is zero. The subsets of
+        one orbit share one Fraction.
         """
         keys = list(itertools.combinations(range(1, N + 1), k))
         vectors = []
-        for table in tables:
-            values = [x if isinstance(x, Fraction) else Fraction(x) for x in table]
-            scaled = linalg.over_common_denominator(values)[0]
-            faces, count = _subset_faces(N, k)
+        for row in rows:
+            if not _rows_cancel(divergence, row):
+                raise ValueError("coordinates violate the divergence condition")
+            values = [Fraction(x, scale) for x in row]
             vec = cls.__new__(cls)
-            vec._fill(
-                N, k, keys, [values[a] for a in orbit], [scaled[a] for a in orbit], faces, [0] * count
-            )
+            vec._N, vec._k = N, k
+            pairs = zip(keys, map(values.__getitem__, orbit))
+            vec._coords = dict(itertools.compress(pairs, map(row.__getitem__, orbit)))
             vectors.append(vec)
         return vectors
-
-    def _fill(self, N: int, k: int, keys: list, values: list, scaled: list, faces, sums) -> None:
-        """Set the nonzero coordinates; ValueError unless the integer
-        coordinates, scaled, cancel at every face (_faces_cancel)."""
-        self._N = N
-        self._k = k
-        self._coords = {key: x for key, x, y in zip(keys, values, scaled) if y}
-        if not _faces_cancel(faces, scaled, sums):
-            raise ValueError("coordinates violate the divergence condition")
 
     @property
     def N(self) -> int:
@@ -497,8 +498,8 @@ def build_Vk_basis(N: int, k: int, bound: int = DEFAULT_BOUND) -> list[VkVector]
     for j, ids in enumerate(faces):
         for f in ids:
             rows[f][j] = 1
-    kernel = linalg.nullspace(rows, ncols=size)
-    return VkVector._from_tables(N, k, range(size), kernel)
+    kernel, scale = _over_one_scale(linalg.nullspace(rows, ncols=size))
+    return VkVector._from_tables(N, k, range(size), rows, kernel, scale)
 
 
 def _label_codes(n: BlockTriple, k: int) -> list[int]:
@@ -520,7 +521,7 @@ class _OrbitFrame(NamedTuple):
     sizes: tuple[int, ...]  # orbit size per label, counted
     common: int  # lcm of the orbit sizes
     divergence: tuple[tuple[int, ...], ...]  # distinct divergence rows
-    basis: tuple[CoeffTable, ...]  # the invariant basis, the kernel of divergence
+    basis: tuple[tuple[tuple[int, ...], ...], int]  # their kernel: integer rows, one scale
 
 
 # 512 holds every (n, k) with blocks <= 4 (288 of them).
@@ -535,12 +536,12 @@ def _orbit_frame(n: BlockTriple, k: int) -> _OrbitFrame:
     (k-1)-subset S, through the cached face incidence, the labels of the
     subsets that contain S; the divergence of an orbit-constant vector at S
     is the sum of its values over those labels, so each distinct row of
-    counts is one equation. Only the
-    distinct rows are kept, not one entry per subset. All of them are
-    imposed verbatim, without collapsing them into the label recurrence, so
-    the basis, their kernel from linalg.nullspace, stays independent of the
-    difference-equation code. At k = 0 there is no (k-1)-subset and the
-    kernel is the one constant table.
+    counts is one equation. Only the distinct rows are kept, not one entry
+    per subset. All of them are imposed verbatim, without collapsing them
+    into the label recurrence, so the basis, their kernel from
+    linalg.nullspace, stays independent of the difference-equation code; it
+    is kept scaled to integers over one scale. At k = 0 there is no
+    (k-1)-subset and the kernel is the one constant table.
     """
     labels = tuple(admissible_grid(n, k))
     base = k + 1
@@ -557,19 +558,15 @@ def _orbit_frame(n: BlockTriple, k: int) -> _OrbitFrame:
         for f in ids:
             column[f] += 1
     divergence = tuple(sorted(set(zip(*columns))))
-    basis = tuple(
-        CoeffTable._from_grid(n, k, labels, vec)
-        for vec in linalg.nullspace(divergence, ncols=len(labels))
-    )
+    basis = _over_one_scale(linalg.nullspace(divergence, ncols=len(labels)))
     return _OrbitFrame(labels, index, orbit, tuple(sizes), math.lcm(*sizes), divergence, basis)
 
 
-def _invariant_tables(n: BlockTriple, k: int) -> tuple[CoeffTable, ...]:
-    """The invariant basis of (n, k), read off its cached orbit frame.
-
-    Not cached itself; phi_module_oracle and invariants_in_Vk take the basis
-    only through this name, looked up at call time.
-    """
+def _invariant_basis(n: BlockTriple, k: int) -> tuple[Sequence[Sequence[int]], int]:
+    """The invariant basis of (n, k), off its cached orbit frame, as integer
+    rows over one scale: table i is rows[i][a] / scale at label a. Not cached
+    itself; phi_module_oracle and invariants_in_Vk take the basis only
+    through this name, looked up at call time."""
     return _orbit_frame(n, k).basis
 
 
@@ -582,8 +579,7 @@ def invariants_in_Vk(n: BlockTriple, k: int, bound: int = DEFAULT_BOUND) -> list
     check_k(n.N, k)
     _check_space_bound(n.N, k, bound)
     frame = _orbit_frame(n, k)
-    values = [[table.get(*uv) for uv in frame.labels] for table in _invariant_tables(n, k)]
-    return VkVector._from_tables(n.N, k, frame.orbit, values)
+    return VkVector._from_tables(n.N, k, frame.orbit, frame.divergence, *_invariant_basis(n, k))
 
 
 def _orbit_coords(vec: VkVector, n: BlockTriple, bound: int) -> tuple[_OrbitFrame, list[Fraction]]:
@@ -595,7 +591,7 @@ def _orbit_coords(vec: VkVector, n: BlockTriple, bound: int) -> tuple[_OrbitFram
     check_k(n.N, vec.k)
     _check_space_bound(n.N, vec.k, bound)
     subsets = itertools.combinations(range(1, n.N + 1), vec.k)
-    return _orbit_frame(n, vec.k), [vec._coords.get(subset, ZERO) for subset in subsets]
+    return _orbit_frame(n, vec.k), list(map(vec._coords.get, subsets, itertools.repeat(ZERO)))
 
 
 def coeff_table_from_invariant(
@@ -603,14 +599,19 @@ def coeff_table_from_invariant(
 ) -> CoeffTable:
     """Read the orbit constants off an invariant vector; reject non-constant
     ones, naming the orbit of the first subset that breaks the constant.
-    Refuses 2k > N and C(N, k) past the bound before reading."""
+    Each value is compared with its orbit's first by identity, and by
+    value only when the two are distinct objects. Refuses 2k > N and
+    C(N, k) past the bound before reading."""
     frame, values = _orbit_coords(vec, n, bound)
-    entries: dict[tuple[int, int], Fraction] = {}
+    first = [None] * len(frame.labels)
     for a, value in zip(frame.orbit, values):
-        uv = frame.labels[a]
-        if entries.setdefault(uv, value) != value:
-            raise ValueError(f"vector is not constant on the orbit {uv}")
-    return CoeffTable(n, vec.k, entries)
+        kept = first[a]
+        if kept is not value:
+            if kept is None:
+                first[a] = value
+            elif kept != value:
+                raise ValueError(f"vector is not constant on the orbit {frame.labels[a]}")
+    return CoeffTable(n, vec.k, dict(zip(frame.labels, first)))
 
 
 def project_to_invariant(vec: VkVector, n: BlockTriple, bound: int = DEFAULT_BOUND) -> VkVector:
@@ -620,8 +621,8 @@ def project_to_invariant(vec: VkVector, n: BlockTriple, bound: int = DEFAULT_BOU
     sums = [ZERO] * len(frame.labels)
     for a, value in zip(frame.orbit, values):
         sums[a] += value
-    means = [total / size for total, size in zip(sums, frame.sizes)]
-    return VkVector._from_tables(vec.N, vec.k, frame.orbit, [means])[0]
+    means, scale = _over_one_scale([[total / size for total, size in zip(sums, frame.sizes)]])
+    return VkVector._from_tables(vec.N, vec.k, frame.orbit, frame.divergence, means, scale)[0]
 
 
 def phi_module_oracle(
@@ -636,8 +637,8 @@ def phi_module_oracle(
     and averaging over each orbit O_b gives the table
     P(b) = sum over a of C[b][a] T(a) / |O_b|, where C[b][a] counts the
     subsets E with label a whose image g(E) has label b. The orbit frame of
-    (n, k) is cached; each call makes one pass over the C(N, k) subsets to
-    count C, the only part that depends on g.
+    (n, k) and its integer basis are cached; each call makes one pass over
+    the C(N, k) subsets to count C, the only part that depends on g.
 
     No vector is built, so the checks VkVector would make run here, in
     integers, on every call: each basis table and each projected table must
@@ -647,7 +648,7 @@ def phi_module_oracle(
     vector is.
 
     The coordinates of a projected table are read off, not solved for. Over
-    one integer scale S, the basis from linalg.nullspace is S at each
+    its one integer scale S, the basis from linalg.nullspace is S at each
     table's free label, its last nonzero one, and 0 at the other tables'
     free labels; that identity block is checked, or ValueError is raised.
     Coordinate j of a projected table is then its value at free label j,
@@ -658,23 +659,15 @@ def phi_module_oracle(
     _check_permutation(g, n)
     check_k(n.N, k)
     _check_space_bound(n.N, k, bound)
-    basis_tables = _invariant_tables(n, k)
-    if not basis_tables:
+    # Table i is basis[i] / scale, in label order.
+    basis, scale = _invariant_basis(n, k)
+    if not basis:
         return Fraction(0)
     frame = _orbit_frame(n, k)
     labels = frame.labels
-
-    def check(values: list[int], what: str) -> None:
-        if any(sum(map(operator.mul, row, values)) for row in frame.divergence):
-            raise ValueError(f"{what} violates the divergence condition")
-
-    # Table i is basis[i] / scale, in label order.
-    flat, scale = linalg.over_common_denominator(
-        table.get(u, v) for table in basis_tables for u, v in labels
-    )
-    basis = [flat[i : i + len(labels)] for i in range(0, len(flat), len(labels))]
     for i, values in enumerate(basis):
-        check(values, f"invariant vector {i}")
+        if not _rows_cancel(frame.divergence, values):
+            raise ValueError(f"invariant vector {i} violates the divergence condition")
     free = [max((a for a, x in enumerate(values) if x), default=0) for values in basis]
     if any(
         values[f] != (scale if i == j else 0)
@@ -702,7 +695,8 @@ def phi_module_oracle(
             sum(map(operator.mul, row, values)) * (frame.common // size)
             for row, size in zip(counts, frame.sizes)
         ]
-        check(image, f"projected image {i}")
+        if not _rows_cancel(frame.divergence, image):
+            raise ValueError(f"projected image {i} violates the divergence condition")
         coords = [image[f] for f in free]
         if any(
             y * scale != sum(map(operator.mul, coords, column))

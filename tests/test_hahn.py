@@ -106,6 +106,11 @@ class TestContext:
             HahnContext(BlockTriple(3, 3, 3), k, m)
         assert str(info.value) == message
 
+    def test_rejects_blocks_that_are_not_a_block_triple(self):
+        with pytest.raises(ValueError) as info:
+            HahnContext((3, 3, 3), 3, 1)
+        assert str(info.value) == "n must be a BlockTriple, got (3, 3, 3)"
+
 
 class TestSpecialValues:
     """The edge evaluations that the coefficient-extraction formula relies on."""
@@ -192,6 +197,19 @@ class TestCoeffTable:
         assert table.get(0, 0) == 5
         assert table.get(1, 0) == 0
         assert table.get(-1, 2) == 0
+
+    @pytest.mark.parametrize(
+        "n,k,message",
+        [
+            (BlockTriple(1, 1, 1), 1.0, "k must be an int, got 1.0"),
+            (BlockTriple(1, 1, 1), True, "k must be an int, got True"),
+            ((1, 1, 1), 1, "n must be a BlockTriple, got (1, 1, 1)"),
+        ],
+    )
+    def test_rejects_non_int_k_and_non_triple_n(self, n, k, message):
+        with pytest.raises(ValueError) as info:
+            CoeffTable(n, k, {})
+        assert str(info.value) == message
 
     def test_rejects_off_grid_labels(self):
         n = BlockTriple(1, 1, 1)

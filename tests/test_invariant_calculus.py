@@ -404,6 +404,19 @@ class TestExpansion:
         with pytest.raises(ValueError):
             InvariantExpansion(n, 1, {2: 1})
 
+    @pytest.mark.parametrize(
+        "coeffs,message",
+        [
+            ({0.5: 1}, "indices [0.5] are not ints"),
+            ({0: 1, True: 2}, "indices [True] are not ints"),
+            ({Fraction(1): 1}, "indices [Fraction(1, 1)] are not ints"),
+        ],
+    )
+    def test_rejects_indices_that_are_not_ints(self, coeffs, message):
+        with pytest.raises(ValueError) as info:
+            InvariantExpansion(BlockTriple(1, 1, 1), 1, coeffs)
+        assert str(info.value) == message
+
     def test_coefficient_defaults_to_zero(self):
         expansion = InvariantExpansion(BlockTriple(2, 2, 2), 2, {1: 5})
         assert expansion.coefficient(0) == 0

@@ -174,6 +174,25 @@ def test_nullspace_matches_fraction_gauss_jordan():
     assert min(shapes.values()) >= 50, shapes
 
 
+@pytest.mark.parametrize(
+    "values,expected",
+    [
+        ([3, -4, 0], ([3, -4, 0], 1)),
+        ((x for x in (2, 5)), ([2, 5], 1)),
+        ([], ([], 1)),
+        ([True, 2], ([1, 2], 1)),
+        ([1, Fraction(1, 2), "1/3"], ([6, 3, 2], 6)),
+        ([Fraction(4, 2), 0.5], ([4, 1], 2)),
+    ],
+)
+def test_over_common_denominator(values, expected):
+    """Ints come back as they are over 1; anything else is scaled by the
+    lcm of its denominators, bools and strings going through Fraction."""
+    ints, scale = linalg.over_common_denominator(values)
+    assert (ints, scale) == expected
+    assert all(type(x) is int for x in ints) and type(scale) is int
+
+
 def test_row_echelon_known():
     echelon, pivots = linalg.row_echelon(
         [[Fraction(2), Fraction(4)], [Fraction(1), Fraction(2)]]

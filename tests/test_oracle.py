@@ -4,7 +4,7 @@ import math
 import random
 import re
 import sys
-from collections import Counter, defaultdict
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -97,6 +97,16 @@ def reference_invariant_tables(n, k):
     return tuple(
         CoeffTable(n, k, {uv: value for uv, value in zip(labels, vec)})
         for vec in kernel
+    )
+
+
+def basis_tables(n, k):
+    """The module oracle's invariant basis of (n, k) as coefficient tables,
+    read off the integer rows and scale its one seam delivers."""
+    rows, scale = oracle._invariant_basis(n, k)
+    labels = admissible_grid(n, k)
+    return tuple(
+        CoeffTable(n, k, {uv: Fraction(x, scale) for uv, x in zip(labels, row)}) for row in rows
     )
 
 
@@ -645,8 +655,8 @@ class TestVkVector:
         assert VkVector(0, 0, {(): 1}).coord(()) == 1
 
     def test_face_sums_match_tuple_faces(self):
-        """The bitmask and incidence face sums against summing over
-        (k-1)-tuples, on seeded random integer vectors with N <= 8:
+        """The bitmask face sums and the rows of the incidence against
+        summing over (k-1)-tuples, on seeded random integer vectors with N <= 8:
         divergence-free combinations of the basis, the same with one
         coordinate bumped, and arbitrary ones."""
         rng = random.Random(20261020)
@@ -668,11 +678,13 @@ class TestVkVector:
             for values in (free, bumped, arbitrary):
                 coords = dict(zip(columns, values))
                 expected = reference_faces_cancel(coords, k)
-                by_mask = oracle._faces_cancel(
-                    oracle._mask_faces(columns, masks), values, defaultdict(int)
-                )
+                by_mask = oracle._faces_cancel(oracle._mask_faces(columns, masks), values)
                 faces, count = oracle._subset_faces(N, k)
-                by_incidence = oracle._faces_cancel(faces, values, [0] * count)
+                rows = [[0] * len(columns) for _ in range(count)]
+                for j, ids in enumerate(faces):
+                    for f in ids:
+                        rows[f][j] = 1
+                by_incidence = oracle._rows_cancel(rows, values)
                 assert by_mask == by_incidence == expected, (N, k, values)
                 outcomes[expected] += 1
                 if expected:
@@ -838,7 +850,7 @@ class TestInvariants:
         for n in small_triples(4):
             for k in range(n.N // 2 + 1):
                 labelled = point_labels(n, k)
-                tables = oracle._invariant_tables(n, k)
+                tables = basis_tables(n, k)
                 vectors = invariants_in_Vk(n, k)
                 assert len(vectors) == len(tables), (n, k)
                 for vec, table in zip(vectors, tables):
@@ -846,6 +858,58 @@ class TestInvariants:
                     assert vec == expected, (n, k)
                     assert list(vec.items()) == list(expected.items())
                     assert all(type(x) is Fraction for _, x in vec.items())
+
+    def test_every_vector_handed_out_passes_the_constructor(self):
+        """At blocks <= 4, every invariant vector, rebuilt from its own items
+        through the constructor's bitmask face check, equals itself; the
+        subsets of one orbit share one Fraction object."""
+        compared = 0
+        for n in small_triples(4):
+            for k in range(n.N // 2 + 1):
+                labels = oracle._orbit_frame(n, k).labels
+                for vec in invariants_in_Vk(n, k):
+                    assert VkVector(n.N, k, dict(vec.items())) == vec, (n, k)
+                    assert len({id(x) for _, x in vec.items()}) <= len(labels), (n, k)
+                    compared += 1
+        assert compared == 536
+
+    def test_row_check_matches_tuple_faces(self):
+        """_from_tables checks an orbit-constant table against the frame's
+        divergence rows; at blocks <= 3, on seeded tables in the basis's
+        span, the same bumped at one label, and arbitrary, it accepts
+        exactly the tables whose vectors cancel at every tuple face."""
+        rng = random.Random(20261021)
+        outcomes = Counter()
+        for n in small_triples(3):
+            for k in range(n.N // 2 + 1):
+                frame = oracle._orbit_frame(n, k)
+                rows, _ = oracle._invariant_basis(n, k)
+                subsets = list(itertools.combinations(range(1, n.N + 1), k))
+                width = len(frame.labels)
+                in_span = [0] * width
+                for row in rows:
+                    weight = rng.randint(-3, 3)
+                    in_span = [x + weight * y for x, y in zip(in_span, row)]
+                bumped = list(in_span)
+                bumped[rng.randrange(width)] += rng.choice([-2, -1, 1, 2])
+                arbitrary = [rng.choice([0, rng.randint(-4, 4)]) for _ in range(width)]
+                for table in (in_span, bumped, arbitrary):
+                    scale = rng.choice([1, 2, 6])
+                    values = [Fraction(table[a], scale) for a in frame.orbit]
+                    expected = reference_faces_cancel(
+                        dict(zip(subsets, (table[a] for a in frame.orbit))), k
+                    )
+                    assert oracle._rows_cancel(frame.divergence, table) == expected, (n, k)
+                    outcomes[expected] += 1
+                    build = functools.partial(
+                        VkVector._from_tables, n.N, k, frame.orbit, frame.divergence, [table], scale
+                    )
+                    if expected:
+                        assert build() == [VkVector(n.N, k, dict(zip(subsets, values)))], (n, k)
+                    else:
+                        with pytest.raises(ValueError, match="divergence"):
+                            build()
+        assert outcomes[True] > 100 and outcomes[False] > 50, outcomes
 
     def test_orbit_rows_match_tuple_faces(self):
         """The frame's bitmask face count against the tuple-face loop: the
@@ -1032,9 +1096,9 @@ class TestModuleOracle:
     def test_rejects_tables_that_violate_divergence(self, monkeypatch):
         """Neither the oracle nor the invariants trust the kernel they are given."""
         n = BlockTriple(2, 1, 1)
-        monkeypatch.setattr(
-            oracle, "_invariant_tables", lambda n, k: [CoeffTable(n, k, {(1, 0): 1})]
-        )
+        assert oracle._orbit_frame(n, 1).labels[2] == (1, 0)
+        # The table that is 1 at (1, 0) and 0 elsewhere.
+        monkeypatch.setattr(oracle, "_invariant_basis", lambda n, k: (((0, 0, 1),), 1))
         with pytest.raises(ValueError, match="invariant vector 0 violates the divergence"):
             phi_module_oracle(n, 1, embed_cycle((1, 2, 3), n))
         with pytest.raises(ValueError, match="coordinates violate the divergence"):
@@ -1044,8 +1108,9 @@ class TestModuleOracle:
         """With one of the two invariant tables at (1,1,1), k = 1, the moving
         cycles project the kept table out of its span."""
         n = BlockTriple(1, 1, 1)
-        first = oracle._invariant_tables(n, 1)[:1]
-        monkeypatch.setattr(oracle, "_invariant_tables", lambda n, k: first)
+        rows, scale = oracle._invariant_basis(n, 1)
+        assert len(rows) == 2
+        monkeypatch.setattr(oracle, "_invariant_basis", lambda n, k: (rows[:1], scale))
         for cycle in [(1, 2), (1, 2, 3)]:
             with pytest.raises(ValueError, match="inconsistent"):
                 phi_module_oracle(n, 1, embed_cycle(cycle, n))
@@ -1054,8 +1119,9 @@ class TestModuleOracle:
         """The trace is read off the reduced basis nullspace returns; a
         rescaled basis spans the same space but is refused, not solved."""
         n = BlockTriple(2, 2, 2)
-        doubled = tuple(table.scaled(2) for table in oracle._invariant_tables(n, 2))
-        monkeypatch.setattr(oracle, "_invariant_tables", lambda n, k: doubled)
+        rows, scale = oracle._invariant_basis(n, 2)
+        doubled = tuple(tuple(2 * x for x in row) for row in rows)
+        monkeypatch.setattr(oracle, "_invariant_basis", lambda n, k: (doubled, scale))
         with pytest.raises(ValueError, match="not reduced"):
             phi_module_oracle(n, 2, embed_cycle((1, 2), n))
 
@@ -1075,16 +1141,18 @@ class TestModuleOracle:
         for n in small_triples(4):
             for k in range(n.N // 2 + 1):
                 expected = reference_invariant_tables(n, k)
-                assert oracle._orbit_frame(n, k).basis == expected, (n, k)
+                assert basis_tables(n, k) == expected, (n, k)
                 compared += 1
         assert compared == 288
 
     def test_basis_cache_is_bounded(self):
         n = BlockTriple(2, 1, 1)
-        assert isinstance(oracle._invariant_tables(n, 1), tuple)
-        assert isinstance(oracle._invariant_tables(n, 0), tuple)
-        assert oracle._invariant_tables(n, 1) is oracle._orbit_frame(n, 1).basis
-        assert not hasattr(oracle._invariant_tables, "cache_info")
+        rows, scale = oracle._invariant_basis(n, 1)
+        assert oracle._invariant_basis(n, 1) is oracle._orbit_frame(n, 1).basis
+        assert type(rows) is tuple and all(type(row) is tuple for row in rows)
+        assert type(scale) is int and scale > 0
+        assert oracle._invariant_basis(n, 0) == (((1,),), 1)
+        assert not hasattr(oracle._invariant_basis, "cache_info")
         assert oracle._orbit_frame(n, 1).labels == ((0, 0), (0, 1), (1, 0))
         assert oracle._orbit_frame.cache_info().maxsize is not None
 
