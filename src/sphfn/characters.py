@@ -67,8 +67,9 @@ def mn_character(lam: Partition, mu: Partition) -> int:
 
 
 # A Partition is immutable, so each oracle call can share one; 1,024 holds
-# every shape with N <= 62.
-@functools.lru_cache(maxsize=1024)
+# every shape with N <= 62. Typed, so that a k of True or 1.0 is not served
+# the shape cached for 1 but refused by check_k.
+@functools.lru_cache(maxsize=1024, typed=True)
 def two_row(N: int, k: int) -> Partition:
     """The two-row shape [N - k, k]; k = 0 degenerates to the single row [N]."""
     check_k(N, k)

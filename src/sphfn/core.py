@@ -4,10 +4,11 @@ Every scalar in this package is a :class:`fractions.Fraction` (or a plain int
 where the value is known to be integral); no floating point appears anywhere.
 
 This module also owns the input rules every value is indexed by: int block
-sizes n_j >= 1 (check_sizes), a two-row shape [N - k, k] with 0 <= 2k <= N
-(check_k), a pair of distinct blocks (pair_blocks) and a cycle through a
-nonempty set of blocks (cycle_blocks). Other modules call these rather than
-restate a rule; only the CLI words the cycle rule again, to quote its input.
+sizes n_j >= 1 (check_sizes), a two-row shape [N - k, k] with an int k,
+0 <= 2k <= N (check_k), a pair of distinct blocks (pair_blocks) and a cycle
+through a nonempty set of blocks (cycle_blocks). Other modules call these
+rather than restate a rule; only the CLI words the cycle rule again, to
+quote its input.
 """
 from __future__ import annotations
 
@@ -34,9 +35,16 @@ __all__ = [
 # The shared zero for lookups that default to it; a Fraction is immutable.
 ZERO = Fraction(0)
 
+# Entries of a Partition or Permutation are ints exactly when the set of
+# their types lies within this one; a bool is not an int here.
+_INTS = frozenset({int})
+
 
 def check_k(N: int, k: int) -> None:
-    """Reject a shape parameter outside 0 <= 2k <= N."""
+    """Reject a shape parameter that is not an int (a bool is not) or lies
+    outside 0 <= 2k <= N."""
+    if type(k) is not int:
+        raise ValueError(f"k must be an int, got {k!r}")
     if k < 0 or 2 * k > N:
         raise ValueError(f"need 0 <= 2k <= N, got k = {k}, N = {N}")
 
@@ -68,12 +76,14 @@ def cycle_blocks(A: Iterable[int]) -> tuple[int, ...]:
 
 
 class Partition:
-    """A weakly decreasing sequence of positive integers."""
+    """A weakly decreasing sequence of positive ints (a bool is not one)."""
 
     __slots__ = ("_parts",)
 
     def __init__(self, parts: Iterable[int]):
-        parts = tuple(int(p) for p in parts)
+        parts = tuple(parts)
+        if not _INTS.issuperset(map(type, parts)):
+            raise ValueError(f"partition parts must be ints, got {parts}")
         for p in parts:
             if p < 1:
                 raise ValueError(f"partition parts must be positive, got {parts}")
@@ -164,13 +174,17 @@ class BlockTriple:
 
 
 class Permutation:
-    """A permutation of [1, N] in one-line notation: images[i-1] = p(i)."""
+    """A permutation of [1, N] in one-line notation: images[i-1] = p(i).
+
+    The images must be ints; a bool is not one.
+    """
 
     __slots__ = ("_images",)
 
     def __init__(self, images: Iterable[int]):
-        images = tuple(int(x) for x in images)
-        if sorted(images) != list(range(1, len(images) + 1)):
+        images = tuple(images)
+        ints = _INTS.issuperset(map(type, images))
+        if not ints or sorted(images) != list(range(1, len(images) + 1)):
             raise ValueError(f"not a permutation of [1, {len(images)}]: {images}")
         self._images = images
 

@@ -36,11 +36,7 @@ The caches; no value depends on what they hold:
   (four bytes a subset), orbit sizes and distinct divergence rows, and the
   invariant basis, the nullspace of those rows scaled to integers once,
   shared by the five cycles of one (n, k), invariants_in_Vk and the two
-  routines that read orbits;
-* _face_incidence, bounded (the 64 most recent (N, k)), keyed by (N, k):
-  the position of each face of each k-subset among the (k-1)-subsets, four
-  bytes a face, shared by the orbit frames and build_Vk_basis on [1, N] at
-  degree k.
+  routines that read orbits.
 
 A call of the module oracle counts how g moves subsets between orbits and
 reads the trace off the reduced basis, with no linear solve. Caching skips
@@ -52,12 +48,13 @@ A table of orbit values is divergence free when it is orthogonal to the
 divergence rows of its orbits, its vector's face sums grouped by orbit;
 one kernel, _rows_cancel, checks every table phi_module_oracle uses and
 every vector _from_tables builds, against the orbit frame's rows, counted
-off the cached face incidence, or build_Vk_basis's equations. Keys a
+at one (k-1)-subset per (k-1)-label, or build_Vk_basis's equations. Keys a
 caller gives VkVector pass the one subset rule, and _faces_cancel sums
 their faces as bitmasks, a subset's sum of 1 << p with one point's bit
-dropped. Reading a table off a vector and projecting one take the orbits
-from the frame through _orbit_coords, which refuses 2k > N and C(N, k)
-past its bound before it reads a coordinate.
+dropped; build_Vk_basis reads its equations off the same bitmask faces.
+Reading a table off a vector and projecting one take the orbits from the
+frame through _orbit_coords, which refuses 2k > N and C(N, k) past its
+bound before it reads a coordinate.
 """
 from __future__ import annotations
 
@@ -330,33 +327,6 @@ def _subset_keys(N: int, k: int, subsets: Iterable) -> tuple[list[tuple[int, ...
     return keys, masks
 
 
-# 64 holds every (N, k) with N <= 12 and 2k <= N (48 of them).
-@functools.lru_cache(maxsize=64)
-def _face_incidence(N: int, k: int) -> tuple[array, int]:
-    """The faces of every k-subset of [1, N], as positions among the
-    (k-1)-subsets, cached.
-
-    Both lists run in lexicographic order. Subset j's faces, in the order
-    combinations(subset, k - 1) gives them, sit at flat[j k : (j + 1) k],
-    four bytes each. Returns the flat positions and the number of faces; at
-    k = 0 there are none.
-    """
-    if not k:
-        return array("I"), 0
-    points = range(1, N + 1)
-    position = dict(zip(itertools.combinations(points, k - 1), itertools.count()))
-    faces = map(itertools.combinations, itertools.combinations(points, k), itertools.repeat(k - 1))
-    return array("I", map(position.__getitem__, itertools.chain.from_iterable(faces))), len(position)
-
-
-def _subset_faces(N: int, k: int) -> tuple[Iterator[tuple[int, ...]], int]:
-    """Each k-subset's face positions, one tuple per subset in lexicographic
-    order, and the number of faces. At k = 0 the one empty subset has no
-    face."""
-    flat, count = _face_incidence(N, k)
-    return (zip(*[iter(flat)] * k) if k else iter([()])), count
-
-
 def _mask_faces(keys: Iterable[tuple[int, ...]], masks: Iterable[int]) -> Iterator[Iterator[int]]:
     """Each subset's faces as bitmasks: its mask with one point's bit dropped."""
     return (map(mask.__xor__, map((1).__lshift__, key)) for key, mask in zip(keys, masks))
@@ -487,17 +457,21 @@ def build_Vk_basis(N: int, k: int, bound: int = DEFAULT_BOUND) -> list[VkVector]
     """Basis of the divergence-free subspace, from the raw linear system.
 
     One equation per (k-1)-subset, none at k = 0, with a 1 at each
-    k-subset that contains it; the kernel has dimension
-    C(N, k) - C(N, k-1). Small N only.
+    k-subset that contains it; the faces are the bitmasks _mask_faces gives
+    the VkVector constructor, and the reduced kernel does not depend on the
+    order of the equations. It has dimension C(N, k) - C(N, k-1). Small N
+    only.
     """
     check_k(N, k)
     _check_space_bound(N, k, bound)
     size = binom(N, k)
-    faces, count = _subset_faces(N, k)
-    rows = [[0] * size for _ in range(count)]
-    for j, ids in enumerate(faces):
-        for f in ids:
-            rows[f][j] = 1
+    keys = list(itertools.combinations(range(1, N + 1), k))
+    masks = [sum(map((1).__lshift__, key)) for key in keys]
+    equations: defaultdict[int, list[int]] = defaultdict(lambda: [0] * size)
+    for j, faces in enumerate(_mask_faces(keys, masks)):
+        for f in faces:
+            equations[f][j] = 1
+    rows = list(equations.values())
     kernel, scale = _over_one_scale(linalg.nullspace(rows, ncols=size))
     return VkVector._from_tables(N, k, range(size), rows, kernel, scale)
 
@@ -531,35 +505,44 @@ def _orbit_frame(n: BlockTriple, k: int) -> _OrbitFrame:
 
     Invariance under the block subgroup forces one unknown per orbit label.
     A subset's orbit is read off the sum of its points' label codes, taken
-    over the same combinations as the points. One pass over the C(N, k)
-    subsets keeps each one's orbit, counts each orbit and, for every
-    (k-1)-subset S, through the cached face incidence, the labels of the
-    subsets that contain S; the divergence of an orbit-constant vector at S
-    is the sum of its values over those labels, so each distinct row of
-    counts is one equation. Only the distinct rows are kept, not one entry
-    per subset. All of them are imposed verbatim, without collapsing them
-    into the label recurrence, so the basis, their kernel from
-    linalg.nullspace, stays independent of the difference-equation code; it
-    is kept scaled to integers over one scale. At k = 0 there is no
-    (k-1)-subset and the kernel is the one constant table.
+    over the same combinations as the points, and each orbit's size is
+    counted off those orbits.
+
+    The divergence of an orbit-constant vector at a (k-1)-subset S is the
+    sum of its values over the labels of the k-subsets that contain S, so
+    S's row counts those subsets label by label. The block subgroup permutes
+    the (k-1)-subsets of one label and keeps containment, so all of them
+    have one row: it is counted once, at the representative S_y made of the
+    first y_b points of each block b, for each (k-1)-label y. The row walks
+    the points p outside S_y and reads the orbit of S_y with p added off the
+    same label codes. It is counted point by point, not written from the
+    coefficients n_b - y_b of the label recurrence, so the basis, the kernel
+    of the distinct rows from linalg.nullspace, stays independent of the
+    difference-equation code that it is checked against; it is kept scaled
+    to integers over one scale. At k = 0 there is no (k-1)-subset and the
+    kernel is the one constant table.
     """
     labels = tuple(admissible_grid(n, k))
     base = k + 1
     index = {u + v * base: a for a, (u, v) in enumerate(labels)}
-    sizes = [0] * len(labels)
-    faces, count = _subset_faces(n.N, k)
-    codes = map(sum, itertools.combinations(_label_codes(n, k), k))
-    orbit = array("I", map(index.__getitem__, codes))
-    # One array of face counts per label; row S reads across them.
-    columns = [array("I", [0]) * count for _ in labels]
-    for ids, a in zip(faces, orbit):
-        sizes[a] += 1
-        column = columns[a]
-        for f in ids:
-            column[f] += 1
-    divergence = tuple(sorted(set(zip(*columns))))
+    codes = _label_codes(n, k)
+    orbit = array("I", map(index.__getitem__, map(sum, itertools.combinations(codes, k))))
+    counts = Counter(orbit)
+    sizes = tuple(map(counts.__getitem__, range(len(labels))))
+    starts = (0, n.n1, n.n1 + n.n2)
+    rows = []
+    for u, v in admissible_grid(n, k - 1) if k else ():
+        blocks = zip(starts, (u, v, k - 1 - u - v))
+        chosen = set(itertools.chain.from_iterable(range(s, s + y) for s, y in blocks))
+        code = sum(map(codes.__getitem__, chosen))
+        row = [0] * len(labels)
+        for p, point_code in enumerate(codes):
+            if p not in chosen:
+                row[index[code + point_code]] += 1
+        rows.append(tuple(row))
+    divergence = tuple(sorted(set(rows)))
     basis = _over_one_scale(linalg.nullspace(divergence, ncols=len(labels)))
-    return _OrbitFrame(labels, index, orbit, tuple(sizes), math.lcm(*sizes), divergence, basis)
+    return _OrbitFrame(labels, index, orbit, sizes, math.lcm(*sizes), divergence, basis)
 
 
 def _invariant_basis(n: BlockTriple, k: int) -> tuple[Sequence[Sequence[int]], int]:

@@ -76,6 +76,21 @@ class TestPartition:
         with pytest.raises(ValueError):
             Partition((2, 0))
 
+    @pytest.mark.parametrize(
+        "parts, message",
+        [
+            ((2.5, 1), "partition parts must be ints, got (2.5, 1)"),
+            ((2.0, 1), "partition parts must be ints, got (2.0, 1)"),
+            (("2", "1"), "partition parts must be ints, got ('2', '1')"),
+            ((True,), "partition parts must be ints, got (True,)"),
+            ((1, -1.5), "partition parts must be ints, got (1, -1.5)"),
+        ],
+    )
+    def test_rejects_parts_that_are_not_ints(self, parts, message):
+        """Parts are taken as given, never coerced with int()."""
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Partition(parts)
+
     def test_counts(self):
         assert len(list(partitions(5))) == 7
         assert len(list(partitions(6))) == 11
@@ -118,6 +133,22 @@ class TestPermutation:
     def test_rejects_non_bijection(self):
         with pytest.raises(ValueError):
             Permutation((1, 1, 3))
+
+    @pytest.mark.parametrize(
+        "images, message",
+        [
+            ([1.5, 2.7], "not a permutation of [1, 2]: (1.5, 2.7)"),
+            ([2.0, 1.0], "not a permutation of [1, 2]: (2.0, 1.0)"),
+            (("2", "1"), "not a permutation of [1, 2]: ('2', '1')"),
+            ([True], "not a permutation of [1, 1]: (True,)"),
+            ([2, True], "not a permutation of [1, 2]: (2, True)"),
+            (["a", 1], "not a permutation of [1, 2]: ('a', 1)"),
+        ],
+    )
+    def test_rejects_entries_that_are_not_ints(self, images, message):
+        """Entries are taken as given, never coerced with int()."""
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Permutation(images)
 
 
 class TestArithmeticHelpers:
@@ -201,7 +232,7 @@ class TestBlocks:
 TINY = BlockTriple(1, 1, 1)  # N = 3, so k = 2 is the first k with 2k > N
 
 
-def _k_rule_cases(k: int) -> list:
+def _k_rule_cases(k, message: str) -> list:
     degrees = DegreeTriple(2, 1, 0)
     identity = Permutation.identity(3)
     calls = {
@@ -222,13 +253,16 @@ def _k_rule_cases(k: int) -> list:
         "invariants_in_Vk": lambda: invariants_in_Vk(TINY, k),
         "phi_module_oracle": lambda: phi_module_oracle(TINY, k, identity),
     }
-    message = f"need 0 <= 2k <= N, got k = {k}, N = 3"
-    return [pytest.param(call, message, id=f"{name}-k={k}") for name, call in calls.items()]
+    return [pytest.param(call, message, id=f"{name}-k={k!r}") for name, call in calls.items()]
 
 
 RULE_CASES = (
-    _k_rule_cases(-1)
-    + _k_rule_cases(2)
+    _k_rule_cases(-1, "need 0 <= 2k <= N, got k = -1, N = 3")
+    + _k_rule_cases(2, "need 0 <= 2k <= N, got k = 2, N = 3")
+    # k is an int before its range is tested; a bool is not one.
+    + _k_rule_cases(1.5, "k must be an int, got 1.5")
+    + _k_rule_cases(True, "k must be an int, got True")
+    + _k_rule_cases(0.0, "k must be an int, got 0.0")
     + [
         pytest.param(lambda: BlockTriple(1, 0, 1), "block sizes must be >= 1, got (1, 0, 1)",
                      id="BlockTriple"),
@@ -271,3 +305,12 @@ def test_input_rule_has_one_wording(call, message):
     """Every entry point rejects bad input with the message of the rule's owner in core."""
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+def test_cached_shape_does_not_skip_the_k_rule():
+    """two_row caches its shapes; a k equal to a cached int k but not an
+    int itself is still refused, whatever ran before."""
+    assert two_row(4, 0) == Partition((4,)) and two_row(4, 1) == Partition((3, 1))
+    for k in (False, True, 0.0, 1.0):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'k must be an int, got {k!r}')}$"):
+            two_row(4, k)

@@ -655,10 +655,10 @@ class TestVkVector:
         assert VkVector(0, 0, {(): 1}).coord(()) == 1
 
     def test_face_sums_match_tuple_faces(self):
-        """The bitmask face sums and the rows of the incidence against
-        summing over (k-1)-tuples, on seeded random integer vectors with N <= 8:
-        divergence-free combinations of the basis, the same with one
-        coordinate bumped, and arbitrary ones."""
+        """The bitmask face sums and the rows of the reference incidence
+        against summing over (k-1)-tuples, on seeded random integer vectors
+        with N <= 8: divergence-free combinations of the basis, the same with
+        one coordinate bumped, and arbitrary ones."""
         rng = random.Random(20261020)
         outcomes = Counter()
         for _ in range(300):
@@ -679,11 +679,11 @@ class TestVkVector:
                 coords = dict(zip(columns, values))
                 expected = reference_faces_cancel(coords, k)
                 by_mask = oracle._faces_cancel(oracle._mask_faces(columns, masks), values)
-                faces, count = oracle._subset_faces(N, k)
+                flat, count = reference_incidence(N, k)
                 rows = [[0] * len(columns) for _ in range(count)]
-                for j, ids in enumerate(faces):
-                    for f in ids:
-                        rows[f][j] = 1
+                # Subset j's k faces sit at flat[j k : (j + 1) k].
+                for position, f in enumerate(flat):
+                    rows[f][position // k] = 1
                 by_incidence = oracle._rows_cancel(rows, values)
                 assert by_mask == by_incidence == expected, (N, k, values)
                 outcomes[expected] += 1
@@ -715,59 +715,6 @@ class TestVkVector:
         vec = VkVector(4, 1, {(1,): 1, (2,): -1})
         with pytest.raises(ValueError):
             vec.apply(Permutation.identity(5))
-
-
-class TestFaceIncidence:
-    def test_matches_tuple_faces(self):
-        """Every N <= 10 and 0 <= k <= N against combinations(subset, k - 1)
-        looked up in the (k-1)-subset list, one group per k-subset: at
-        k = 0 one empty group and no face."""
-        compared = 0
-        for N in range(11):
-            for k in range(N + 1):
-                flat, count = oracle._face_incidence(N, k)
-                assert flat.typecode == "I"
-                assert (list(flat), count) == reference_incidence(N, k), (N, k)
-                faces, count = oracle._subset_faces(N, k)
-                groups = list(faces)
-                assert len(groups) == binom(N, k), (N, k)
-                assert all(len(ids) == k for ids in groups), (N, k)
-                assert [f for ids in groups for f in ids] == list(flat), (N, k)
-                compared += 1
-        assert compared == 66
-
-    def test_values_do_not_depend_on_the_incidence_cache(self, monkeypatch):
-        """The module oracle on all five cycles and invariants_in_Vk at blocks
-        <= 3, k = 0 included, with every orbit frame rebuilt: a cleared, a
-        warm and a one-entry incidence cache give the same values."""
-        monkeypatch.setattr(oracle, "_orbit_frame", oracle._orbit_frame.__wrapped__)
-        pairs = [(n, k) for n in small_triples(3) for k in range(n.N // 2 + 1)]
-        assert any(k == 0 for _, k in pairs)
-
-        def values(n, k):
-            return (
-                [phi_module_oracle(n, k, embed_cycle(cycle, n)) for cycle in CYCLES],
-                invariants_in_Vk(n, k),
-            )
-
-        cache = oracle._face_incidence
-        assert cache.cache_info().maxsize == 64
-        cleared = {}
-        for n, k in pairs:
-            cache.cache_clear()
-            cleared[n, k] = values(n, k)
-        assert {(n, k): values(n, k) for n, k in pairs} == cleared
-        assert cache.cache_info().hits > 0
-
-        # A one-entry cache, swept block triple by block triple, so that an
-        # (N, k) comes back after others have evicted it.
-        evicting = functools.lru_cache(maxsize=1)(cache.__wrapped__)
-        monkeypatch.setattr(oracle, "_face_incidence", evicting)
-        overfilled = {(n, k): values(n, k) for n, k in pairs}
-        info = evicting.cache_info()
-        assert info.currsize == info.maxsize
-        assert info.misses > len({(n.N, k) for n, k in pairs})
-        assert overfilled == cleared
 
 
 class TestBasis:
@@ -912,7 +859,7 @@ class TestInvariants:
         assert outcomes[True] > 100 and outcomes[False] > 50, outcomes
 
     def test_orbit_rows_match_tuple_faces(self):
-        """The frame's bitmask face count against the tuple-face loop: the
+        """The frame's representative rows against the tuple-face loop: the
         same orbit sizes and distinct rows at every (n, k), blocks <= 4."""
         compared = 0
         for n in small_triples(4):
@@ -921,6 +868,20 @@ class TestInvariants:
                 assert (frame.sizes, frame.divergence) == reference_orbit_rows(n, k), (n, k)
                 compared += 1
         assert compared == 288
+
+    def test_orbit_rows_match_tuple_faces_past_blocks_4(self):
+        """The same at a seeded sample of 150 of the 1,008 (n, k) whose
+        largest block is 5 or 6, the range the blocks <= 6 diffeq sweep
+        reaches; every frame is built afresh."""
+        pairs = [
+            (n, k) for n in small_triples(6) if max(n.sizes) >= 5 for k in range(n.N // 2 + 1)
+        ]
+        assert len(pairs) == 1008
+        sample = random.Random(20261020).sample(pairs, 150)
+        assert max(n.N for n, _ in sample) == 18 and sum(k >= 2 for _, k in sample) >= 100
+        for n, k in sample:
+            frame = oracle._orbit_frame.__wrapped__(n, k)
+            assert (frame.sizes, frame.divergence) == reference_orbit_rows(n, k), (n, k)
 
     def test_orbit_labels_match_point_labels(self):
         """The frame's orbits, read off summed label codes, against counting
