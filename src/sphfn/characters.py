@@ -10,7 +10,7 @@ import functools
 import math
 from collections import Counter
 
-from .core import BlockTriple, Partition, check_k
+from .core import BlockTriple, Partition, check_N, check_k
 
 __all__ = [
     "mn_character",
@@ -72,12 +72,14 @@ def mn_character(lam: Partition, mu: Partition) -> int:
 @functools.lru_cache(maxsize=1024, typed=True)
 def two_row(N: int, k: int) -> Partition:
     """The two-row shape [N - k, k]; k = 0 degenerates to the single row [N]."""
+    check_N(N)
     check_k(N, k)
     return Partition((N - k, k) if k > 0 else (N,))
 
 
 def dim_two_row(N: int, k: int) -> int:
     """Dimension of the irreducible module of shape [N - k, k]."""
+    check_N(N)
     check_k(N, k)
     # C(N, k) - C(N, k - 1) = C(N, k) (N - 2k + 1) / (N - k + 1), exactly.
     return math.comb(N, k) * (N - 2 * k + 1) // (N - k + 1)

@@ -24,7 +24,7 @@ from .oracle import (
     phi_character_oracle,
     phi_module_oracle,
 )
-from .verify import SUITES, run_suites
+from .verify import SUITES, run_suite
 
 # --method choice -> (record name, evaluation of a query under an oracle bound)
 METHODS = {
@@ -81,20 +81,21 @@ def _parse_triple(text: str, noun: str) -> list[int]:
 
 
 def _parse_blocks(text: str) -> BlockTriple:
-    try:
-        return BlockTriple(*_parse_triple(text, "sizes"))
-    except ValueError as exc:
-        _fail(str(exc), 2)
+    return BlockTriple(*_parse_triple(text, "sizes"))
 
 
 def _parse_cycle(text: str) -> tuple[int, ...]:
+    blocks = tuple(sorted({int(x) for x in text.split(",")}))
+    if not blocks or any(b not in (1, 2, 3) for b in blocks):
+        raise ValueError(f"cycle must be a nonempty subset of 1,2,3, got {text!r}")
+    return blocks
+
+
+def _parse_rational(text: str) -> Fraction:
     try:
-        blocks = tuple(sorted({int(x) for x in text.split(",")}))
-        if not blocks or any(b not in (1, 2, 3) for b in blocks):
-            raise ValueError(f"cycle must be a nonempty subset of 1,2,3, got {text!r}")
-        return blocks
-    except ValueError as exc:
-        _fail(str(exc), 2)
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"cannot parse rational {text!r}") from None
 
 
 def _emit_record(record: dict, fmt: str) -> None:
@@ -139,9 +140,9 @@ def main():
 @ORACLE_BOUND
 def compute(n_text: str, k: int, cycle_text: str, method: str, fmt: str, oracle_bound: int):
     """Evaluate one averaged character value."""
-    n = _parse_blocks(n_text)
-    cycle = _parse_cycle(cycle_text)
     try:
+        n = _parse_blocks(n_text)
+        cycle = _parse_cycle(cycle_text)
         query = SphericalQuery(n, k, cycle)
     except ValueError as exc:
         _fail(str(exc), 2)
@@ -190,7 +191,7 @@ def verify(max_block: int, suite: str, oracle_bound: int):
         _fail(f"--max-block must be >= 1, got {max_block}", 2)
     names = sorted(SUITES) if suite == "all" else [suite]
     try:
-        reports = run_suites(names, max_block, oracle_bound)
+        reports = [run_suite(name, max_block, oracle_bound) for name in names]
     except OracleBoundExceeded as exc:
         _fail(str(exc), 3)
     except AssertionError as exc:
@@ -210,12 +211,9 @@ def verify(max_block: int, suite: str, oracle_bound: int):
 @click.option("--diagnose", is_flag=True, help="Also emit the kappa = 0 consistency diagnostic.")
 def eigsum(n_text: str, k: int, d_text: str, kappa_text: str, p: int, diagnose: bool):
     """Evaluate the cycle-expansion trace for one degree triple."""
-    n = _parse_blocks(n_text)
     try:
-        kappa = Fraction(kappa_text)
-    except (ValueError, ZeroDivisionError):
-        _fail(f"cannot parse rational {kappa_text!r}", 2)
-    try:
+        n = _parse_blocks(n_text)
+        kappa = _parse_rational(kappa_text)
         degrees = DegreeTriple(*_parse_triple(d_text, "degrees"), kappa=kappa)
         value = eigenvalue_sum(n, degrees, k, p)
         diagnostic = kappa_zero_diagnostic(n, degrees, k, p) if diagnose else None

@@ -272,14 +272,14 @@ def phi_special(n: BlockTriple, k: int, cycle: tuple[int, ...] = (1, 2, 3)) -> O
 def phi_2cycle_two_factor(n1: int, n2: int, k: int) -> Fraction:
     """Two-block analogue: subgroup of two consecutive blocks, 2-cycle between.
 
-    The invariant here is unique for 0 <= k <= min(n1, n2) and the value is a
-    single quadratic. Kept separate from the three-block machinery; the core
-    grids and operators stay three-block throughout.
+    The 2-cycle kernel with an empty third block, under the same k rule,
+    0 <= 2k <= n1 + n2. The invariant is unique for k <= min(n1, n2), where
+    the value is (n1 n2 - (n1 + n2) k + k (k - 1)) / (n1 n2); past min(n1, n2)
+    there is none, and the value is 0.
     """
     check_sizes((n1, n2))
-    if not 0 <= k <= min(n1, n2):
-        raise ValueError(f"need 0 <= k <= min(n1, n2), got k = {k}, n = ({n1}, {n2})")
-    return Fraction(n1 * n2 - (n1 + n2) * k + k * (k - 1), n1 * n2)
+    check_k(n1 + n2, k)
+    return Fraction(*_two_cycle_ratio(n1, n2, 0, k))
 
 
 def phi_closed_form(query: SphericalQuery) -> Fraction:

@@ -4,7 +4,8 @@ Every scalar in this package is a :class:`fractions.Fraction` (or a plain int
 where the value is known to be integral); no floating point appears anywhere.
 
 This module also owns the input rules every value is indexed by: int block
-sizes n_j >= 1 (check_sizes), a two-row shape [N - k, k] with an int k,
+sizes n_j >= 1 (check_sizes), an int point count N >= 0 where a caller gives
+N itself (check_N), a two-row shape [N - k, k] with an int k,
 0 <= 2k <= N (check_k), a pair of distinct blocks (pair_blocks) and a cycle
 through a nonempty set of blocks (cycle_blocks). Other modules call these
 rather than restate a rule; only the CLI words the cycle rule again, to
@@ -38,6 +39,12 @@ ZERO = Fraction(0)
 # Entries of a Partition or Permutation are ints exactly when the set of
 # their types lies within this one; a bool is not an int here.
 _INTS = frozenset({int})
+
+
+def check_N(N: int) -> None:
+    """Reject a point count that is not an int (a bool is not) or is below 0."""
+    if type(N) is not int or N < 0:
+        raise ValueError(f"N must be an int >= 0, got {N!r}")
 
 
 def check_k(N: int, k: int) -> None:

@@ -108,8 +108,10 @@ def eigenvalue_sum(n: BlockTriple, d: DegreeTriple, k: int, p: int) -> Fraction:
     combined with the factorials f_i = n_i! in Horner form,
     f1 (c1 + f2 (c12 + f3 c123) + f3 c13) + f2 (c2 + f3 c23) + f3 c3,
     so that one Fraction is built at the end. The block sizes are unpacked
-    and k is checked once; the factorials come from a bounded cache
-    (_factorial). The Phi values come from the integer kernels that
+    and k is checked here first; multiplicity and dim_two_row check it again,
+    as do both 3-cycle regroupings (through m_range) when p >= 2: three
+    checks for p = 1, five otherwise. The factorials come from a bounded
+    cache (_factorial). The Phi values come from the integer kernels that
     phi_2cycle and phi_3cycle share: _two_cycle_ratio on the sizes of each
     pair, with the third block last, and _phi_3cycle_ratio, which keeps the
     3-cycle self-check. eigenvalue_sum_recheck takes the other route,

@@ -21,7 +21,7 @@ from typing import Mapping
 from . import linalg
 from .characters import m_range
 from .core import ZERO, BlockTriple, pair_blocks
-from .hahn import CoeffTable, HahnContext, _psi_values, psi1, psi2, psi_table
+from .hahn import CoeffTable, HahnContext, _check_n_k, _psi_values, psi1, psi2, psi_table
 
 __all__ = [
     "check_difference_equation",
@@ -127,6 +127,7 @@ class InvariantExpansion:
     __slots__ = ("_n", "_k", "_coeffs")
 
     def __init__(self, n: BlockTriple, k: int, coeffs: Mapping[int, object]):
+        _check_n_k(n, k)
         bad = [m for m in coeffs if type(m) is not int]
         if bad:
             raise ValueError(f"indices {bad} are not ints")

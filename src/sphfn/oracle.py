@@ -77,6 +77,7 @@ from .core import (
     Partition,
     Permutation,
     binom,
+    check_N,
     check_k,
     check_sizes,
     compose,
@@ -297,12 +298,11 @@ def two_factor_character_oracle(
 def _subset_keys(N: int, k: int, subsets: Iterable) -> tuple[list[tuple[int, ...]], list[int]]:
     """The sorted keys and bitmasks (sum of 1 << p) of k-subsets of [1, N].
 
-    The one subset rule: N an int (not a bool) >= 0, checked first; k an
+    The one subset rule: N as core.check_N has it, checked first; k an
     int (not a bool) in [0, N]; k points, each an int in [1, N], all
     distinct, and no subset given twice; ValueError otherwise.
     """
-    if type(N) is not int or N < 0:
-        raise ValueError(f"N must be an int >= 0, got {N!r}")
+    check_N(N)
     if type(k) is not int or not 0 <= k <= N:
         raise ValueError(f"k must be an int in [0, {N}], got {k!r}")
     keys: list[tuple[int, ...]] = []
@@ -462,6 +462,7 @@ def build_Vk_basis(N: int, k: int, bound: int = DEFAULT_BOUND) -> list[VkVector]
     order of the equations. It has dimension C(N, k) - C(N, k-1). Small N
     only.
     """
+    check_N(N)
     check_k(N, k)
     _check_space_bound(N, k, bound)
     size = binom(N, k)

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 from click.testing import CliRunner
 
+import sphfn.cli
 import sphfn.closed_form
 import sphfn.verify
 from sphfn.cli import main, render
@@ -105,6 +106,27 @@ class TestCompute:
         assert list(record) == [
             "n", "k", "cycle", "method", "value", "multiplicity", "agreement",
         ]
+
+    @pytest.mark.parametrize(
+        "fmt, stdout",
+        [
+            ("json", '{"n": [2, 2, 2], "k": 1, "cycle": [1, 2], "method": "closed_form", '
+                     '"value": "1/1", "multiplicity": 2, "agreement": false}\n'),
+            ("csv", 'n1,n2,n3,k,cycle,method,value,multiplicity,agreement\n'
+                    '2,2,2,1,"1,2",closed_form,1/1,2,false\n'),
+        ],
+    )
+    def test_disagreement_exits_one(self, runner, monkeypatch, fmt, stdout):
+        """A disagreeing oracle is reported, with exit 1."""
+        monkeypatch.setattr(sphfn.cli, "phi_character_oracle", lambda n, k, g, bound: Fraction(7))
+        result = runner.invoke(
+            main,
+            ["compute", "--n", "2,2,2", "--k", "1", "--cycle", "1,2", "--method", "all",
+             "--format", fmt],
+        )
+        assert result.exit_code == 1, result.output
+        assert result.stdout == stdout
+        assert result.stderr == ""
 
     def test_fractional_value(self, runner):
         result = runner.invoke(

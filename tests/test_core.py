@@ -249,6 +249,7 @@ def _k_rule_cases(k, message: str) -> list:
         "eigenvalue_sum": lambda: eigenvalue_sum(TINY, degrees, k, 1),
         "phi_character_oracle": lambda: phi_character_oracle(TINY, k, identity),
         "two_factor_character_oracle": lambda: two_factor_character_oracle(1, 2, k),
+        "phi_2cycle_two_factor": lambda: phi_2cycle_two_factor(1, 2, k),
         "build_Vk_basis": lambda: build_Vk_basis(3, k),
         "invariants_in_Vk": lambda: invariants_in_Vk(TINY, k),
         "phi_module_oracle": lambda: phi_module_oracle(TINY, k, identity),
@@ -264,6 +265,15 @@ RULE_CASES = (
     + _k_rule_cases(True, "k must be an int, got True")
     + _k_rule_cases(0.0, "k must be an int, got 0.0")
     + [
+        # N is an int >= 0 wherever a caller gives N itself, tested before k.
+        pytest.param(lambda: two_row(4.0, 1), "N must be an int >= 0, got 4.0", id="two_row-N"),
+        pytest.param(lambda: two_row(-1, 0), "N must be an int >= 0, got -1", id="two_row-N<0"),
+        pytest.param(lambda: dim_two_row(True, 0), "N must be an int >= 0, got True",
+                     id="dim_two_row-N=True"),
+        pytest.param(lambda: dim_two_row(4.5, 1), "N must be an int >= 0, got 4.5",
+                     id="dim_two_row-N"),
+        pytest.param(lambda: build_Vk_basis(4.0, 1), "N must be an int >= 0, got 4.0",
+                     id="build_Vk_basis-N"),
         pytest.param(lambda: BlockTriple(1, 0, 1), "block sizes must be >= 1, got (1, 0, 1)",
                      id="BlockTriple"),
         pytest.param(lambda: phi_2cycle_two_factor(0, 1, 0), "block sizes must be >= 1, got (0, 1)",

@@ -417,6 +417,19 @@ class TestExpansion:
             InvariantExpansion(BlockTriple(1, 1, 1), 1, coeffs)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "n,k,message",
+        [
+            ((3, 3, 3), 1, "n must be a BlockTriple, got (3, 3, 3)"),
+            (BlockTriple(1, 1, 1), 1.0, "k must be an int, got 1.0"),
+            (BlockTriple(1, 1, 1), True, "k must be an int, got True"),
+        ],
+    )
+    def test_rejects_non_int_k_and_non_triple_n(self, n, k, message):
+        with pytest.raises(ValueError) as info:
+            InvariantExpansion(n, k, {})
+        assert str(info.value) == message
+
     def test_coefficient_defaults_to_zero(self):
         expansion = InvariantExpansion(BlockTriple(2, 2, 2), 2, {1: 5})
         assert expansion.coefficient(0) == 0
@@ -447,6 +460,13 @@ class TestExpansion:
         n = BlockTriple(1, 1, 1)
         with pytest.raises(ValueError, match="^inconsistent linear system$"):
             expand_in_psi_basis(CoeffTable(n, 1, {(0, 0): 1}))
+
+    def test_zero_table_with_empty_basis(self):
+        n = BlockTriple(1, 1, 4)
+        assert m_range(n, 3) == (0, -1)
+        expansion = expand_in_psi_basis(CoeffTable(n, 3, {}))
+        assert expansion == InvariantExpansion(n, 3, {})
+        assert list(expansion.items()) == []
 
     def test_rejects_nonzero_table_with_empty_basis(self):
         n = BlockTriple(1, 1, 4)

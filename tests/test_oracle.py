@@ -544,6 +544,15 @@ class TestTwoFactorOracle:
                         phi_2cycle_two_factor(n1, n2, k)
                     ), (n1, n2, k)
 
+    def test_matches_closed_form_at_every_k(self):
+        """Past min(n1, n2) there is no invariant, and both read 0."""
+        for N in range(2, 11):
+            for n1 in range(1, N):
+                for k in range(N // 2 + 1):
+                    assert two_factor_character_oracle(n1, N - n1, k) == (
+                        phi_2cycle_two_factor(n1, N - n1, k)
+                    ), (n1, N - n1, k)
+
     def test_matches_closed_form_to_sixteen_points(self):
         compared = 0
         for N in range(2, 17):
