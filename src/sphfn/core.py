@@ -173,9 +173,6 @@ class BlockTriple:
         start = 1 + sum(self.sizes[: block - 1])
         return range(start, start + self.sizes[block - 1])
 
-    def first_index(self, block: int) -> int:
-        return 1 + sum(self.sizes[: block - 1])
-
     def __repr__(self) -> str:
         return f"BlockTriple{self.sizes}"
 
@@ -316,5 +313,5 @@ def embed_cycle(A: Iterable[int], n: BlockTriple) -> Permutation:
 
     Blocks are visited in ascending order; a single block gives the identity.
     """
-    points = [n.first_index(b) for b in cycle_blocks(A)]
+    points = [n.interval(b).start for b in cycle_blocks(A)]
     return Permutation.from_cycle(points, n.N)

@@ -6,11 +6,10 @@ elimination is fraction-free Gauss-Jordan (after Bareiss, Math. Comp. 22,
 division by the previous pivot): each row is scaled to integers once, a row
 of ints taken as it is; a row is cleared by p * row - q * pivot_row and
 divided by the gcd of its entries, and the pivot rows are divided by their
-pivots only at the end. One integer core, _eliminate, serves every routine:
-row_echelon divides every entry, nullspace only its kernel's nonzero
-entries, solve only the right-hand column, and rank counts the pivots. The
-reduced row echelon form is unique, so the Fractions returned are exactly
-those of plain Gauss-Jordan elimination over Fraction.
+pivots only at the end. One integer core, _eliminate, serves both routines:
+nullspace divides only its kernel's nonzero entries, and solve only the
+right-hand column. The reduced row echelon form is unique, so the Fractions
+returned are exactly those of plain Gauss-Jordan elimination over Fraction.
 """
 from __future__ import annotations
 
@@ -20,7 +19,7 @@ from typing import Iterable, Sequence
 
 Matrix = list[list[Fraction]]
 
-__all__ = ["row_echelon", "nullspace", "solve", "rank", "over_common_denominator"]
+__all__ = ["nullspace", "solve", "over_common_denominator"]
 
 
 def over_common_denominator(values: Iterable) -> tuple[list[int], int]:
@@ -76,18 +75,6 @@ def _eliminate(matrix: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
         if r == len(m):
             break
     return m, pivots
-
-
-def row_echelon(matrix: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and the list of pivot column indices."""
-    m, pivots = _eliminate(matrix)
-    echelon = [[Fraction(x, m[i][c]) for x in m[i]] for i, c in enumerate(pivots)]
-    echelon += [[Fraction(0)] * len(row) for row in m[len(pivots):]]
-    return echelon, pivots
-
-
-def rank(matrix: Sequence[Sequence]) -> int:
-    return len(_eliminate(matrix)[1])
 
 
 def nullspace(matrix: Sequence[Sequence], ncols: int | None = None) -> Matrix:

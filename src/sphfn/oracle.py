@@ -35,26 +35,24 @@ The caches; no value depends on what they hold:
   module oracle's orbit frame, its labels, the orbit of every k-subset
   (four bytes a subset), orbit sizes and distinct divergence rows, and the
   invariant basis, the nullspace of those rows scaled to integers once,
-  shared by the five cycles of one (n, k), invariants_in_Vk and the two
-  routines that read orbits.
+  shared by the five cycles of one (n, k), invariants_in_Vk and
+  coeff_table_from_invariant.
 
 A call of the module oracle counts how g moves subsets between orbits and
 reads the trace off the reduced basis, with no linear solve. Caching skips
 no check: every call still checks each basis table and each projected image
-for divergence and for lying in the basis's span, and every VkVector handed
-out checks its own.
+for divergence and for lying in the basis's span.
 
-A table of orbit values is divergence free when it is orthogonal to the
-divergence rows of its orbits, its vector's face sums grouped by orbit;
-one kernel, _rows_cancel, checks every table phi_module_oracle uses and
-every vector _from_tables builds, against the orbit frame's rows, counted
-at one (k-1)-subset per (k-1)-label, or build_Vk_basis's equations. Keys a
-caller gives VkVector pass the one subset rule, and _faces_cancel sums
-their faces as bitmasks, a subset's sum of 1 << p with one point's bit
-dropped; build_Vk_basis reads its equations off the same bitmask faces.
-Reading a table off a vector and projecting one take the orbits from the
-frame through _orbit_coords, which refuses 2k > N and C(N, k) past its
-bound before it reads a coordinate.
+A VkVector is built one way, by _from_tables, which makes its keys itself,
+every k-subset in lexicographic order, and reads each coordinate off an
+integer table through the subset's orbit. A table is divergence free when
+it is orthogonal to the divergence rows of its orbits, its vector's face
+sums grouped by orbit; one kernel, _rows_cancel, checks every table
+phi_module_oracle uses and every vector _from_tables builds, against the
+orbit frame's rows, counted at one (k-1)-subset per (k-1)-label.
+coeff_table_from_invariant is the one function that takes a vector from
+outside; it refuses 2k > N and C(N, k) past its bound before it reads a
+coordinate.
 """
 from __future__ import annotations
 
@@ -65,9 +63,9 @@ import math
 import operator
 import sys
 from array import array
-from collections import Counter, defaultdict
+from collections import Counter
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import linalg
 from .characters import _check_weights, _mn, centralizer_order, two_row
@@ -77,14 +75,13 @@ from .core import (
     Partition,
     Permutation,
     binom,
-    check_N,
     check_k,
     check_sizes,
     compose,
     cycle_type,
     partitions,
 )
-from .hahn import CoeffTable, admissible_grid
+from .hahn import CoeffTable, _check_n_k, admissible_grid
 
 __all__ = [
     "OracleBoundExceeded",
@@ -92,10 +89,8 @@ __all__ = [
     "phi_character_oracle",
     "two_factor_character_oracle",
     "VkVector",
-    "build_Vk_basis",
     "invariants_in_Vk",
     "coeff_table_from_invariant",
-    "project_to_invariant",
     "phi_module_oracle",
 ]
 
@@ -211,6 +206,8 @@ def _coset_type_counts(sizes: tuple[int, int, int], g_images: tuple[int, ...]) -
 
 
 def _check_permutation(g: Permutation, n: BlockTriple) -> None:
+    if not isinstance(g, Permutation):
+        raise ValueError(f"g must be a Permutation, got {g!r}")
     if g.N != n.N:
         raise ValueError(f"permutation acts on {g.N} points, blocks cover {n.N}")
 
@@ -269,6 +266,7 @@ def phi_character_oracle(
     The bound caps the subgroup order n1! n2! n3!, however the coset's cycle
     types are counted.
     """
+    _check_n_k(n, k)
     _check_permutation(g, n)
     order = _check_order(n.sizes, bound)
     shape = two_row(n.N, k)
@@ -295,93 +293,23 @@ def two_factor_character_oracle(
     return _coset_average(shape, _two_factor_type_counts(n1, n2), order)
 
 
-def _subset_keys(N: int, k: int, subsets: Iterable) -> tuple[list[tuple[int, ...]], list[int]]:
-    """The sorted keys and bitmasks (sum of 1 << p) of k-subsets of [1, N].
-
-    The one subset rule: N as core.check_N has it, checked first; k an
-    int (not a bool) in [0, N]; k points, each an int in [1, N], all
-    distinct, and no subset given twice; ValueError otherwise.
-    """
-    check_N(N)
-    if type(k) is not int or not 0 <= k <= N:
-        raise ValueError(f"k must be an int in [0, {N}], got {k!r}")
-    keys: list[tuple[int, ...]] = []
-    masks: list[int] = []
-    given: set[int] = set()
-    ints = [int] * k
-    for subset in subsets:
-        # Sorting is safe once every point is an int; the points are
-        # distinct when the mask has k bits set.
-        if [*map(type, subset)] == ints:
-            key = tuple(sorted(subset))
-            if not key or 1 <= key[0] and key[-1] <= N:
-                mask = sum(map((1).__lshift__, key))
-                if mask.bit_count() == k:
-                    if mask in given:
-                        raise ValueError(f"subset {key} given twice")
-                    given.add(mask)
-                    keys.append(key)
-                    masks.append(mask)
-                    continue
-        raise ValueError(f"not a k-subset of [1, {N}]: {subset}")
-    return keys, masks
-
-
-def _mask_faces(keys: Iterable[tuple[int, ...]], masks: Iterable[int]) -> Iterator[Iterator[int]]:
-    """Each subset's faces as bitmasks: its mask with one point's bit dropped."""
-    return (map(mask.__xor__, map((1).__lshift__, key)) for key, mask in zip(keys, masks))
-
-
-def _faces_cancel(faces: Iterable[Iterable[int]], values: Iterable[int]) -> bool:
-    """Whether integer coordinates sum to zero at every face: each adds its
-    value at each of its faces, given as bitmasks by _mask_faces."""
-    sums: defaultdict[int, int] = defaultdict(int)
-    for ids, x in zip(faces, values):
-        if x:
-            for f in ids:
-                sums[f] += x
-    return not any(sums.values())
-
-
 def _rows_cancel(rows: Iterable[Sequence[int]], values: Sequence[int]) -> bool:
     """Whether integer values, one per column, are orthogonal to every row."""
     return not any(sum(map(operator.mul, row, values)) for row in rows)
-
-
-def _over_one_scale(vectors: Sequence[Sequence]) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """Vectors of one length as integer rows over one positive scale."""
-    flat, scale = linalg.over_common_denominator(itertools.chain.from_iterable(vectors))
-    return tuple(zip(*[iter(flat)] * len(vectors[0]))) if vectors else (), scale
 
 
 class VkVector:
     """A divergence-free vector in the span of squarefree degree-k monomials.
 
     Coordinates are indexed by sorted k-tuples; absent subsets read as zero.
-    N must be an int >= 0 and k an int in [0, N], and every key given to the
-    constructor must pass the one subset rule (_subset_keys): k distinct int
-    points in [1, N], no subset named twice.
-    The defining condition is then enforced, that dropping one point from
-    each subset sums to zero over every (k-1)-subset; the sums run in
-    integers, on the coordinates scaled by the lcm of their denominators,
-    with the faces of the keys given as bitmasks. Every vector this module
-    hands out passes the divergence check, through the constructor or
-    through _from_tables, which makes its own keys and checks each table
-    against the divergence rows of its orbits, the same face sums grouped
-    by orbit; phi_module_oracle builds no vector and makes the same row
-    check itself, on every vector it uses.
+    There is no public constructor: _from_tables builds every vector, from
+    integer tables it checks against divergence rows, so every vector this
+    module hands out sums to zero over the subsets containing each
+    (k-1)-subset. phi_module_oracle builds no vector and makes the same row
+    check itself, on every table it uses.
     """
 
     __slots__ = ("_N", "_k", "_coords")
-
-    def __init__(self, N: int, k: int, coords: Mapping[tuple[int, ...], object]):
-        keys, masks = _subset_keys(N, k, coords)
-        values = [x if isinstance(x, Fraction) else Fraction(x) for x in coords.values()]
-        scaled = linalg.over_common_denominator(values)[0]
-        if not _faces_cancel(_mask_faces(keys, masks), scaled):
-            raise ValueError("coordinates violate the divergence condition")
-        self._N, self._k = N, k
-        self._coords = dict(itertools.compress(zip(keys, values), scaled))
 
     @classmethod
     def _from_tables(cls, N: int, k: int, orbit, divergence, rows, scale: int) -> list["VkVector"]:
@@ -421,16 +349,6 @@ class VkVector:
     def items(self):
         return iter(sorted(self._coords.items()))
 
-    def apply(self, g: Permutation) -> "VkVector":
-        """Translate: the coordinate at E moves to g(E)."""
-        if g.N != self._N:
-            raise ValueError(f"permutation acts on {g.N} points, vector lives on {self._N}")
-        return VkVector(
-            self._N,
-            self._k,
-            {tuple(g(i) for i in subset): x for subset, x in self._coords.items()},
-        )
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, VkVector):
             return NotImplemented
@@ -451,30 +369,6 @@ def _check_space_bound(N: int, k: int, bound: int) -> None:
         shown = _decimal([size])
         value = f" = {shown}" if shown else ""
         raise OracleBoundExceeded(f"monomial space size C({N},{k}){value} exceeds bound {bound}")
-
-
-def build_Vk_basis(N: int, k: int, bound: int = DEFAULT_BOUND) -> list[VkVector]:
-    """Basis of the divergence-free subspace, from the raw linear system.
-
-    One equation per (k-1)-subset, none at k = 0, with a 1 at each
-    k-subset that contains it; the faces are the bitmasks _mask_faces gives
-    the VkVector constructor, and the reduced kernel does not depend on the
-    order of the equations. It has dimension C(N, k) - C(N, k-1). Small N
-    only.
-    """
-    check_N(N)
-    check_k(N, k)
-    _check_space_bound(N, k, bound)
-    size = binom(N, k)
-    keys = list(itertools.combinations(range(1, N + 1), k))
-    masks = [sum(map((1).__lshift__, key)) for key in keys]
-    equations: defaultdict[int, list[int]] = defaultdict(lambda: [0] * size)
-    for j, faces in enumerate(_mask_faces(keys, masks)):
-        for f in faces:
-            equations[f][j] = 1
-    rows = list(equations.values())
-    kernel, scale = _over_one_scale(linalg.nullspace(rows, ncols=size))
-    return VkVector._from_tables(N, k, range(size), rows, kernel, scale)
 
 
 def _label_codes(n: BlockTriple, k: int) -> list[int]:
@@ -542,7 +436,9 @@ def _orbit_frame(n: BlockTriple, k: int) -> _OrbitFrame:
                 row[index[code + point_code]] += 1
         rows.append(tuple(row))
     divergence = tuple(sorted(set(rows)))
-    basis = _over_one_scale(linalg.nullspace(divergence, ncols=len(labels)))
+    kernel = linalg.nullspace(divergence, ncols=len(labels))
+    flat, scale = linalg.over_common_denominator(itertools.chain.from_iterable(kernel))
+    basis = tuple(zip(*[iter(flat)] * len(labels))), scale
     return _OrbitFrame(labels, index, orbit, sizes, math.lcm(*sizes), divergence, basis)
 
 
@@ -560,22 +456,11 @@ def invariants_in_Vk(n: BlockTriple, k: int, bound: int = DEFAULT_BOUND) -> list
     The count equals the multiplicity of the two-row shape; each vector is
     constant on subset orbits and so corresponds to one coefficient table.
     """
+    _check_n_k(n, k)
     check_k(n.N, k)
     _check_space_bound(n.N, k, bound)
     frame = _orbit_frame(n, k)
     return VkVector._from_tables(n.N, k, frame.orbit, frame.divergence, *_invariant_basis(n, k))
-
-
-def _orbit_coords(vec: VkVector, n: BlockTriple, bound: int) -> tuple[_OrbitFrame, list[Fraction]]:
-    """The orbit frame of (n, k) and the vector's coordinate at every
-    k-subset, in lexicographic order; ValueError past 2k > N,
-    OracleBoundExceeded past C(N, k) > bound, both before the frame."""
-    if vec.N != n.N:
-        raise ValueError(f"vector lives on {vec.N} points, blocks cover {n.N}")
-    check_k(n.N, vec.k)
-    _check_space_bound(n.N, vec.k, bound)
-    subsets = itertools.combinations(range(1, n.N + 1), vec.k)
-    return _orbit_frame(n, vec.k), list(map(vec._coords.get, subsets, itertools.repeat(ZERO)))
 
 
 def coeff_table_from_invariant(
@@ -584,9 +469,19 @@ def coeff_table_from_invariant(
     """Read the orbit constants off an invariant vector; reject non-constant
     ones, naming the orbit of the first subset that breaks the constant.
     Each value is compared with its orbit's first by identity, and by
-    value only when the two are distinct objects. Refuses 2k > N and
-    C(N, k) past the bound before reading."""
-    frame, values = _orbit_coords(vec, n, bound)
+    value only when the two are distinct objects. Refuses a vec that is
+    not a VkVector, one on another number of points than n covers, 2k > N
+    and C(N, k) past the bound, all before the orbit frame."""
+    if not isinstance(vec, VkVector):
+        raise ValueError(f"vec must be a VkVector, got {vec!r}")
+    _check_n_k(n, vec.k)
+    if vec.N != n.N:
+        raise ValueError(f"vector lives on {vec.N} points, blocks cover {n.N}")
+    check_k(n.N, vec.k)
+    _check_space_bound(n.N, vec.k, bound)
+    frame = _orbit_frame(n, vec.k)
+    subsets = itertools.combinations(range(1, n.N + 1), vec.k)
+    values = map(vec._coords.get, subsets, itertools.repeat(ZERO))
     first = [None] * len(frame.labels)
     for a, value in zip(frame.orbit, values):
         kept = first[a]
@@ -596,17 +491,6 @@ def coeff_table_from_invariant(
             elif kept != value:
                 raise ValueError(f"vector is not constant on the orbit {frame.labels[a]}")
     return CoeffTable(n, vec.k, dict(zip(frame.labels, first)))
-
-
-def project_to_invariant(vec: VkVector, n: BlockTriple, bound: int = DEFAULT_BOUND) -> VkVector:
-    """Average the vector over each subset orbit of the block subgroup.
-    Refuses 2k > N and C(N, k) past the bound before averaging."""
-    frame, values = _orbit_coords(vec, n, bound)
-    sums = [ZERO] * len(frame.labels)
-    for a, value in zip(frame.orbit, values):
-        sums[a] += value
-    means, scale = _over_one_scale([[total / size for total, size in zip(sums, frame.sizes)]])
-    return VkVector._from_tables(vec.N, vec.k, frame.orbit, frame.divergence, means, scale)[0]
 
 
 def phi_module_oracle(
@@ -640,6 +524,7 @@ def phi_module_oracle(
     every label, checked exactly in integers, or ValueError is raised as an
     inconsistent linear system. The trace sums coordinate i of image i.
     """
+    _check_n_k(n, k)
     _check_permutation(g, n)
     check_k(n.N, k)
     _check_space_bound(n.N, k, bound)

@@ -19,7 +19,7 @@ from sphfn.eigsum import DegreeTriple, eigenvalue_sum
 from sphfn.hahn import CoeffTable, HahnContext
 from sphfn.invariant_calculus import apply_rho_g2
 from sphfn.oracle import (
-    build_Vk_basis,
+    coeff_table_from_invariant,
     invariants_in_Vk,
     phi_character_oracle,
     phi_module_oracle,
@@ -250,7 +250,6 @@ def _k_rule_cases(k, message: str) -> list:
         "phi_character_oracle": lambda: phi_character_oracle(TINY, k, identity),
         "two_factor_character_oracle": lambda: two_factor_character_oracle(1, 2, k),
         "phi_2cycle_two_factor": lambda: phi_2cycle_two_factor(1, 2, k),
-        "build_Vk_basis": lambda: build_Vk_basis(3, k),
         "invariants_in_Vk": lambda: invariants_in_Vk(TINY, k),
         "phi_module_oracle": lambda: phi_module_oracle(TINY, k, identity),
     }
@@ -272,8 +271,6 @@ RULE_CASES = (
                      id="dim_two_row-N=True"),
         pytest.param(lambda: dim_two_row(4.5, 1), "N must be an int >= 0, got 4.5",
                      id="dim_two_row-N"),
-        pytest.param(lambda: build_Vk_basis(4.0, 1), "N must be an int >= 0, got 4.0",
-                     id="build_Vk_basis-N"),
         pytest.param(lambda: BlockTriple(1, 0, 1), "block sizes must be >= 1, got (1, 0, 1)",
                      id="BlockTriple"),
         pytest.param(lambda: phi_2cycle_two_factor(0, 1, 0), "block sizes must be >= 1, got (0, 1)",
@@ -306,6 +303,21 @@ RULE_CASES = (
                      "permutation acts on 4 points, blocks cover 3", id="phi_character_oracle-points"),
         pytest.param(lambda: phi_module_oracle(TINY, 1, Permutation.identity(4)),
                      "permutation acts on 4 points, blocks cover 3", id="phi_module_oracle-points"),
+        # Arguments of the wrong type are refused with ValueError, not AttributeError.
+        pytest.param(lambda: phi_character_oracle(TINY, 1, (1, 2, 3)),
+                     "g must be a Permutation, got (1, 2, 3)", id="phi_character_oracle-g"),
+        pytest.param(lambda: phi_module_oracle(TINY, 1, (1, 2, 3)),
+                     "g must be a Permutation, got (1, 2, 3)", id="phi_module_oracle-g"),
+        pytest.param(lambda: coeff_table_from_invariant({(1,): 1}, TINY),
+                     "vec must be a VkVector, got {(1,): 1}", id="coeff_table_from_invariant-vec"),
+        pytest.param(lambda: phi_character_oracle((1, 1, 1), 1, Permutation.identity(3)),
+                     "n must be a BlockTriple, got (1, 1, 1)", id="phi_character_oracle-n"),
+        pytest.param(lambda: phi_module_oracle((1, 1, 1), 1, Permutation.identity(3)),
+                     "n must be a BlockTriple, got (1, 1, 1)", id="phi_module_oracle-n"),
+        pytest.param(lambda: invariants_in_Vk((1, 1, 1), 1),
+                     "n must be a BlockTriple, got (1, 1, 1)", id="invariants_in_Vk-n"),
+        pytest.param(lambda: coeff_table_from_invariant(invariants_in_Vk(TINY, 1)[0], (1, 1, 1)),
+                     "n must be a BlockTriple, got (1, 1, 1)", id="coeff_table_from_invariant-n"),
     ]
 )
 

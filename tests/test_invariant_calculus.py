@@ -21,7 +21,9 @@ from sphfn.invariant_calculus import (
     extract_leading_coeff,
     g2_eigenvalue,
 )
-from sphfn.oracle import coeff_table_from_invariant, invariants_in_Vk, project_to_invariant
+from sphfn.oracle import coeff_table_from_invariant, invariants_in_Vk
+
+from module_reference import averaged_translate
 
 PAIRS = [(1, 2), (1, 3), (2, 3)]
 
@@ -318,20 +320,15 @@ class TestModuleAction:
                 for vec in invariants_in_Vk(n, k):
                     yield n, vec, coeff_table_from_invariant(vec, n)
 
-    @staticmethod
-    def averaged_translate(vec, n, cycle):
-        moved = vec.apply(embed_cycle(cycle, n))
-        return coeff_table_from_invariant(project_to_invariant(moved, n), n)
-
     @pytest.mark.parametrize("pair", PAIRS + [(2, 1), (3, 1), (3, 2)])
     def test_twocycle_is_the_averaged_translate(self, pair):
         for n, vec, table in self.invariant_tables(3):
-            expected = self.averaged_translate(vec, n, pair)
+            expected = averaged_translate(vec, n, embed_cycle(pair, n))
             assert apply_rho_g2(table, pair) == expected, (n, vec.k, pair)
 
     def test_threecycle_is_the_averaged_translate(self):
         for n, vec, table in self.invariant_tables(3):
-            expected = self.averaged_translate(vec, n, (1, 2, 3))
+            expected = averaged_translate(vec, n, embed_cycle((1, 2, 3), n))
             assert apply_rho_g3(table) == expected, (n, vec.k)
 
     def test_one_block_is_the_identity(self):

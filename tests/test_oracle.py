@@ -37,15 +37,23 @@ from sphfn.oracle import (
     _coset_type_counts,
     _enumerated_type_counts,
     _two_factor_type_counts,
-    build_Vk_basis,
     coeff_table_from_invariant,
     invariants_in_Vk,
     phi_character_oracle,
     phi_module_oracle,
-    project_to_invariant,
     two_factor_character_oracle,
 )
 from sphfn.verify import run_suite
+
+from module_reference import (
+    basis,
+    point_labels,
+    raw_kernel,
+    raw_rows,
+    translate,
+    vector,
+    zero_vector,
+)
 
 CYCLES = [(1,), (1, 2), (1, 3), (2, 3), (1, 2, 3)]
 PAIRS = [(1, 2), (1, 3), (2, 3)]
@@ -110,19 +118,6 @@ def basis_tables(n, k):
     )
 
 
-def point_labels(n, k):
-    """Every k-subset of [1, N] with its orbit label (u, v): its points in
-    blocks 1 and 2, counted point by point."""
-    point_blocks = [1] * n.n1 + [2] * n.n2 + [3] * n.n3
-    return [
-        (subset, (blocks.count(1), blocks.count(2)))
-        for subset, blocks in zip(
-            itertools.combinations(range(1, n.N + 1), k),
-            itertools.combinations(point_blocks, k),
-        )
-    ]
-
-
 def reference_orbit_rows(n, k):
     """Orbit sizes and distinct divergence rows of (n, k), faces as tuples.
 
@@ -151,43 +146,16 @@ def reference_faces_cancel(coords, k):
     return not any(sums.values())
 
 
-def reference_incidence(N, k):
-    """Each k-subset's faces from combinations(subset, k - 1), looked up in
-    the list of (k-1)-subsets, flat and in lexicographic order, and the
-    number of (k-1)-subsets."""
-    if k == 0:
-        return [], 0
-    faces = list(itertools.combinations(range(1, N + 1), k - 1))
-    position = {face: p for p, face in enumerate(faces)}
-    flat = [
-        position[face]
-        for subset in itertools.combinations(range(1, N + 1), k)
-        for face in itertools.combinations(subset, k - 1)
-    ]
-    return flat, len(faces)
-
-
-def raw_kernel(N, k):
-    """The columns and kernel vectors of the raw divergence system of V_k:
-    one equation per (k-1)-subset, a 1 at each k-subset containing it."""
-    columns = list(itertools.combinations(range(1, N + 1), k))
-    rows = [
-        [int(set(smaller) <= set(subset)) for subset in columns]
-        for smaller in (itertools.combinations(range(1, N + 1), k - 1) if k else ())
-    ]
-    return columns, linalg.nullspace(rows, ncols=len(columns))
-
-
-def action_trace(basis, g):
+def action_trace(vectors, g):
     """Trace of the translation action of g in the given basis, by solving."""
-    if not basis:
+    if not vectors:
         return Fraction(0)
-    N, k = basis[0].N, basis[0].k
+    N, k = vectors[0].N, vectors[0].k
     subsets = list(itertools.combinations(range(1, N + 1), k))
-    matrix = [[vec.coord(subset) for vec in basis] for subset in subsets]
+    matrix = [[vec.coord(subset) for vec in vectors] for subset in subsets]
     trace = Fraction(0)
-    for i, vec in enumerate(basis):
-        rhs = [vec.apply(g).coord(subset) for subset in subsets]
+    for i, vec in enumerate(vectors):
+        rhs = [translate(vec, g).coord(subset) for subset in subsets]
         trace += linalg.solve(matrix, rhs)[i]
     return trace
 
@@ -580,8 +548,12 @@ class TestTwoFactorOracle:
 
 
 class TestVkVector:
+    def test_has_no_public_constructor(self):
+        with pytest.raises(TypeError):
+            VkVector(3, 1, {(1,): 1, (2,): -1})
+
     def test_normalizes_and_drops_zeros(self):
-        vec = VkVector(4, 2, {(3, 1): 1, (4, 1): -1, (3, 2): -1, (4, 2): 1, (1, 2): 0})
+        vec = vector(4, 2, {(3, 1): 1, (4, 1): -1, (3, 2): -1, (4, 2): 1, (1, 2): 0})
         assert vec.coord((1, 3)) == 1
         assert vec.coord((4, 2)) == 1
         assert vec.coord((1, 2)) == 0
@@ -592,94 +564,26 @@ class TestVkVector:
             ((2, 4), Fraction(1)),
         ]
 
-    @pytest.mark.parametrize(
-        "coords", [{(1,): 1, (2,): 1}, {(1, 2): 1}, {(0,): 1}, {(5,): 1}, {(1, 1): 1}]
-    )
-    def test_rejects_bad_coordinates(self, coords):
-        with pytest.raises(ValueError):
-            VkVector(4, 1, coords)
-
-    @pytest.mark.parametrize(
-        "coords", [{(1.5,): 1, (2,): -1}, {(True,): 1, (2,): -1}, {("a",): 1, (2,): -1}]
-    )
-    def test_rejects_points_that_are_not_ints(self, coords):
-        (subset,) = [key for key in coords if key != (2,)]
-        with pytest.raises(ValueError) as excinfo:
-            VkVector(3, 1, coords)
-        assert str(excinfo.value) == f"not a k-subset of [1, 3]: {subset}"
-
-    @pytest.mark.parametrize(
-        "N, k, coords, message",
-        [
-            (4, 1, {(1, 2): 1}, "not a k-subset of [1, 4]: (1, 2)"),  # wrong length
-            (3, 0, {(1,): 1}, "not a k-subset of [1, 3]: (1,)"),
-            (4, 2, {(1, 1): 1}, "not a k-subset of [1, 4]: (1, 1)"),  # repeated point
-            (4, 1, {(0,): 1}, "not a k-subset of [1, 4]: (0,)"),  # out of range
-            (4, 2, {(5, 3): 1}, "not a k-subset of [1, 4]: (5, 3)"),
-            (4, 2, {(1, 3): 1, (3, 1): 0}, "subset (1, 3) given twice"),
-            (4, 2, {(2, 4): 1, (4, 2): 1, (0, 1): 1}, "subset (2, 4) given twice"),
-        ],
-    )
-    def test_bad_subset_messages(self, N, k, coords, message):
-        """Every refusal names the first bad key."""
-        with pytest.raises(ValueError) as excinfo:
-            VkVector(N, k, coords)
-        assert str(excinfo.value) == message
-
-    @pytest.mark.parametrize(
-        "N, k, message",
-        [
-            (4, 5, "k must be an int in [0, 4], got 5"),
-            (4, -1, "k must be an int in [0, 4], got -1"),
-            (4, 1.0, "k must be an int in [0, 4], got 1.0"),
-            (4, True, "k must be an int in [0, 4], got True"),
-            (0, 1, "k must be an int in [0, 0], got 1"),
-        ],
-    )
-    def test_rejects_k_outside_the_points(self, N, k, message):
-        """The subset rule checks k first, with no key given or with one."""
-        for coords in ({}, {(): 1}):
-            with pytest.raises(ValueError) as excinfo:
-                VkVector(N, k, coords)
-            assert str(excinfo.value) == message
-
-    @pytest.mark.parametrize(
-        "N, k, coords, message",
-        [
-            (4.5, 1, {(1,): 1, (2,): -1}, "N must be an int >= 0, got 4.5"),
-            (True, 0, {(): 1}, "N must be an int >= 0, got True"),
-            ("4", 1, {}, "N must be an int >= 0, got '4'"),
-            (-1, 0, {}, "N must be an int >= 0, got -1"),
-        ],
-    )
-    def test_rejects_bad_n_before_k(self, N, k, coords, message):
-        """The subset rule checks N before k and the keys."""
-        with pytest.raises(ValueError) as excinfo:
-            VkVector(N, k, coords)
-        assert str(excinfo.value) == message
-
     def test_accepts_every_k_from_zero_to_n(self):
-        assert VkVector(4, 0, {}).k == 0
-        assert VkVector(4, 4, {}).k == 4
-        assert VkVector(0, 0, {(): 1}).coord(()) == 1
+        assert vector(4, 0, {}).k == 0
+        assert vector(4, 4, {}).k == 4
+        assert vector(0, 0, {(): 1}).coord(()) == 1
 
     def test_face_sums_match_tuple_faces(self):
-        """The bitmask face sums and the rows of the reference incidence
-        against summing over (k-1)-tuples, on seeded random integer vectors
-        with N <= 8: divergence-free combinations of the basis, the same with
-        one coordinate bumped, and arbitrary ones."""
+        """The raw incidence rows against summing over (k-1)-tuples, on
+        seeded random integer vectors with N <= 8: divergence-free
+        combinations of the raw kernel, the same with one coordinate bumped,
+        and arbitrary ones; _from_tables builds exactly the ones that cancel."""
         rng = random.Random(20261020)
         outcomes = Counter()
         for _ in range(300):
             N = rng.randint(1, 8)
             k = rng.randint(0, N // 2)
-            columns = list(itertools.combinations(range(1, N + 1), k))
-            masks = [sum(1 << p for p in subset) for subset in columns]
-            assert oracle._subset_keys(N, k, columns) == (columns, masks)
+            columns, rows = raw_rows(N, k)
             free = [0] * len(columns)
-            for vec in build_Vk_basis(N, k):
+            for kernel_vector in linalg.nullspace(rows, ncols=len(columns)):
                 weight = rng.randint(-3, 3)
-                free = [x + weight * vec.coord(subset) for x, subset in zip(free, columns)]
+                free = [x + weight * y for x, y in zip(free, kernel_vector)]
             free, _ = linalg.over_common_denominator(free)
             bumped = list(free)
             bumped[rng.randrange(len(columns))] += rng.choice([-2, -1, 1, 2])
@@ -687,81 +591,57 @@ class TestVkVector:
             for values in (free, bumped, arbitrary):
                 coords = dict(zip(columns, values))
                 expected = reference_faces_cancel(coords, k)
-                by_mask = oracle._faces_cancel(oracle._mask_faces(columns, masks), values)
-                flat, count = reference_incidence(N, k)
-                rows = [[0] * len(columns) for _ in range(count)]
-                # Subset j's k faces sit at flat[j k : (j + 1) k].
-                for position, f in enumerate(flat):
-                    rows[f][position // k] = 1
-                by_incidence = oracle._rows_cancel(rows, values)
-                assert by_mask == by_incidence == expected, (N, k, values)
+                assert oracle._rows_cancel(rows, values) == expected, (N, k, values)
                 outcomes[expected] += 1
                 if expected:
-                    VkVector(N, k, coords)
+                    assert [vector(N, k, coords).coord(subset) for subset in columns] == values
                 else:
                     with pytest.raises(ValueError, match="divergence"):
-                        VkVector(N, k, coords)
+                        vector(N, k, coords)
             assert reference_faces_cancel(dict(zip(columns, free)), k)
         assert outcomes[True] > 300 and outcomes[False] > 200
 
-    def test_rejects_repeated_subset(self):
-        coords = {(1, 3): 1, (1, 4): -1, (2, 3): -1, (2, 4): 1, (3, 1): 0}
-        with pytest.raises(ValueError, match=r"\(1, 3\)"):
-            VkVector(4, 2, coords)
-
     def test_rejects_divergence_violation(self):
-        with pytest.raises(ValueError):
-            VkVector(3, 1, {(1,): 1})
-        with pytest.raises(ValueError):
-            VkVector(4, 2, {(1, 2): 1, (3, 4): -1})
-
-    def test_apply_transposition(self):
-        vec = VkVector(4, 1, {(1,): 1, (2,): -1})
-        g = Permutation.from_cycle([1, 2], 4)
-        assert vec.apply(g) == VkVector(4, 1, {(1,): -1, (2,): 1})
-
-    def test_apply_rejects_wrong_size(self):
-        vec = VkVector(4, 1, {(1,): 1, (2,): -1})
-        with pytest.raises(ValueError):
-            vec.apply(Permutation.identity(5))
+        for N, k, coords in [
+            (3, 1, {(1,): 1}),
+            (4, 1, {(1,): 1, (2,): 1}),
+            (4, 2, {(1, 2): 1, (3, 4): -1}),
+        ]:
+            with pytest.raises(ValueError, match="^coordinates violate the divergence condition$"):
+                vector(N, k, coords)
 
 
 class TestBasis:
     @pytest.mark.parametrize("N,k,dim", [(3, 1, 2), (4, 2, 2), (6, 2, 9), (5, 0, 1)])
     def test_dimensions(self, N, k, dim):
-        assert len(build_Vk_basis(N, k)) == dim
+        assert len(basis(N, k)) == dim
 
     def test_dimension_formula(self):
         for N in range(1, 7):
             for k in range(N // 2 + 1):
                 expected = binom(N, k) - binom(N, k - 1)
-                assert len(build_Vk_basis(N, k)) == expected, (N, k)
+                assert len(raw_kernel(N, k)[1]) == expected, (N, k)
 
     def test_vectors_match_the_constructor(self):
-        """Each basis vector equals VkVector built from its kernel vector."""
+        """Each vector built from a raw kernel vector holds that kernel
+        vector, coordinate for coordinate, with its zeros dropped."""
         for N in range(1, 7):
             for k in range(N // 2 + 1):
                 columns, kernel = raw_kernel(N, k)
-                expected = [VkVector(N, k, dict(zip(columns, vec))) for vec in kernel]
-                assert build_Vk_basis(N, k) == expected, (N, k)
+                vectors = basis(N, k)
+                assert [[vec.coord(subset) for subset in columns] for vec in vectors] == kernel
+                for vec, values in zip(vectors, kernel):
+                    assert list(vec.items()) == [(s, x) for s, x in zip(columns, values) if x]
 
     def test_degree_zero_vector(self):
-        (vec,) = build_Vk_basis(5, 0)
+        (vec,) = basis(5, 0)
         assert vec.coord(()) == 1
 
     def test_basis_is_independent(self):
-        basis = build_Vk_basis(5, 2)
+        vectors = basis(5, 2)
         subsets = list(itertools.combinations(range(1, 6), 2))
-        matrix = [[vec.coord(subset) for vec in basis] for subset in subsets]
-        assert linalg.rank(matrix) == len(basis)
-
-    def test_bound_refusal(self):
-        with pytest.raises(OracleBoundExceeded):
-            build_Vk_basis(20, 10, bound=100)
-
-    def test_rejects_bad_k(self):
-        with pytest.raises(ValueError):
-            build_Vk_basis(3, 2)
+        matrix = [[vec.coord(subset) for vec in vectors] for subset in subsets]
+        assert len(vectors) == 5 and linalg.nullspace(matrix) == []
 
     @pytest.mark.parametrize("N", [4, 5])
     def test_action_trace_is_two_row_character(self, N):
@@ -773,11 +653,11 @@ class TestBasis:
             Permutation.from_cycle(list(range(1, N + 1)), N),
         ]
         for k in range(N // 2 + 1):
-            basis = build_Vk_basis(N, k)
+            vectors = basis(N, k)
             shape = two_row(N, k)
             for g in moves:
                 expected = mn_character(shape, cycle_type(g))
-                assert action_trace(basis, g) == expected, (N, k, g)
+                assert action_trace(vectors, g) == expected, (N, k, g)
 
 
 class TestInvariants:
@@ -791,7 +671,38 @@ class TestInvariants:
             for k in range(n.N // 2 + 1):
                 for vec in invariants_in_Vk(n, k):
                     for h in young_subgroup_elements(n):
-                        assert vec.apply(h) == vec, (n, k)
+                        assert translate(vec, h) == vec, (n, k)
+
+    @pytest.mark.parametrize("n", small_triples(3), ids=lambda n: str(n.sizes))
+    def test_orbit_means_span_the_invariants(self, n):
+        """Averaging over the orbits of the block subgroup maps V_k onto its
+        invariants. The orbit means of the raw basis, read off point_labels,
+        lie in the span of invariants_in_Vk and span as much as it does, so
+        the vectors handed out are a basis of the invariants. Each mean is
+        read back by coeff_table_from_invariant."""
+        for k in range(n.N // 2 + 1):
+            labelled = point_labels(n, k)
+            subsets = [subset for subset, _ in labelled]
+            vectors = invariants_in_Vk(n, k)
+            matrix = [[vec.coord(subset) for vec in vectors] for subset in subsets]
+            means = []
+            for raw in basis(n.N, k):
+                orbits = {}
+                for subset, uv in labelled:
+                    orbits.setdefault(uv, []).append(raw.coord(subset))
+                mean = {uv: sum(values) / len(values) for uv, values in orbits.items()}
+                projected = vector(n.N, k, {subset: mean[uv] for subset, uv in labelled})
+                column = [projected.coord(subset) for subset in subsets]
+                means.append(column)
+                if vectors:
+                    linalg.solve(matrix, column)
+                else:
+                    assert not any(column), (n, k)
+                table = coeff_table_from_invariant(projected, n)
+                assert all(table.get(*uv) == x for uv, x in mean.items()), (n, k)
+            by_column = [list(row) for row in zip(*means)]
+            rank = len(means) - len(linalg.nullspace(by_column, ncols=len(means)))
+            assert rank == len(vectors) == multiplicity(n, k), (n, k)
 
     def test_tables_satisfy_difference_equation(self):
         for n in small_triples(2):
@@ -801,7 +712,7 @@ class TestInvariants:
                     assert check_difference_equation(table), (n, k)
 
     def test_vectors_match_the_constructor(self):
-        """At blocks <= 4, each invariant vector equals VkVector built from
+        """At blocks <= 4, each invariant vector equals the vector built from
         its table's value at every subset, item for item."""
         for n in small_triples(4):
             for k in range(n.N // 2 + 1):
@@ -810,21 +721,21 @@ class TestInvariants:
                 vectors = invariants_in_Vk(n, k)
                 assert len(vectors) == len(tables), (n, k)
                 for vec, table in zip(vectors, tables):
-                    expected = VkVector(n.N, k, {subset: table.get(*uv) for subset, uv in labelled})
+                    expected = vector(n.N, k, {subset: table.get(*uv) for subset, uv in labelled})
                     assert vec == expected, (n, k)
                     assert list(vec.items()) == list(expected.items())
                     assert all(type(x) is Fraction for _, x in vec.items())
 
-    def test_every_vector_handed_out_passes_the_constructor(self):
+    def test_every_vector_handed_out_passes_the_raw_rows(self):
         """At blocks <= 4, every invariant vector, rebuilt from its own items
-        through the constructor's bitmask face check, equals itself; the
-        subsets of one orbit share one Fraction object."""
+        against the raw incidence rows, equals itself; the subsets of one
+        orbit share one Fraction object."""
         compared = 0
         for n in small_triples(4):
             for k in range(n.N // 2 + 1):
                 labels = oracle._orbit_frame(n, k).labels
                 for vec in invariants_in_Vk(n, k):
-                    assert VkVector(n.N, k, dict(vec.items())) == vec, (n, k)
+                    assert vector(n.N, k, dict(vec.items())) == vec, (n, k)
                     assert len({id(x) for _, x in vec.items()}) <= len(labels), (n, k)
                     compared += 1
         assert compared == 536
@@ -861,7 +772,7 @@ class TestInvariants:
                         VkVector._from_tables, n.N, k, frame.orbit, frame.divergence, [table], scale
                     )
                     if expected:
-                        assert build() == [VkVector(n.N, k, dict(zip(subsets, values)))], (n, k)
+                        assert build() == [vector(n.N, k, dict(zip(subsets, values)))], (n, k)
                     else:
                         with pytest.raises(ValueError, match="divergence"):
                             build()
@@ -906,7 +817,7 @@ class TestInvariants:
 
     def test_table_rejects_non_constant_vector(self):
         n = BlockTriple(2, 2, 2)
-        vec = VkVector(6, 1, {(1,): 1, (2,): -1})
+        vec = vector(6, 1, {(1,): 1, (2,): -1})
         with pytest.raises(ValueError):
             coeff_table_from_invariant(vec, n)
 
@@ -914,94 +825,54 @@ class TestInvariants:
         """Two orbits are not constant: (1, 1) appears first, at (1, 3), but
         (1, 0) breaks first, at (1, 6) before (2, 3), and is the one named."""
         n = BlockTriple(2, 2, 2)
-        vec = VkVector(6, 2, {(1, 2): 1, (1, 5): -1, (2, 3): -1, (3, 5): 1})
+        vec = vector(6, 2, {(1, 2): 1, (1, 5): -1, (2, 3): -1, (3, 5): 1})
         with pytest.raises(ValueError) as excinfo:
             coeff_table_from_invariant(vec, n)
         assert str(excinfo.value) == "vector is not constant on the orbit (1, 0)"
 
     def test_table_rejects_wrong_size(self):
-        vec = VkVector(6, 1, {(1,): 1, (2,): -1})
+        vec = vector(6, 1, {(1,): 1, (2,): -1})
         with pytest.raises(ValueError, match="vector lives on 6 points, blocks cover 4"):
             coeff_table_from_invariant(vec, BlockTriple(1, 1, 2))
-
-    def test_projection_kills_mean_zero_orbits(self):
-        n = BlockTriple(2, 2, 2)
-        vec = VkVector(6, 1, {(1,): 1, (2,): -1})
-        assert project_to_invariant(vec, n) == VkVector(6, 1, {})
-
-    def test_projection_is_idempotent(self):
-        n = BlockTriple(2, 2, 2)
-        for vec in build_Vk_basis(6, 2):
-            once = project_to_invariant(vec, n)
-            assert project_to_invariant(once, n) == once
-
-    def test_projection_fixes_invariants(self):
-        n = BlockTriple(2, 1, 2)
-        for k in range(n.N // 2 + 1):
-            for vec in invariants_in_Vk(n, k):
-                assert project_to_invariant(vec, n) == vec
-
-    def test_projection_matches_the_constructor(self):
-        """The projection equals VkVector built from the orbit means."""
-        cases = [(BlockTriple(2, 2, 2), vec) for vec in build_Vk_basis(6, 2)]
-        n = BlockTriple(2, 1, 2)
-        cases += [(n, vec) for k in range(n.N // 2 + 1) for vec in invariants_in_Vk(n, k)]
-        cases.append((BlockTriple(2, 2, 2), VkVector(6, 1, {(1,): 1, (2,): -1})))
-        for n, vec in cases:
-            labelled = point_labels(n, vec.k)
-            orbits = {}
-            for subset, uv in labelled:
-                orbits.setdefault(uv, []).append(vec.coord(subset))
-            means = {uv: sum(values) / len(values) for uv, values in orbits.items()}
-            expected = VkVector(n.N, vec.k, {subset: means[uv] for subset, uv in labelled})
-            assert project_to_invariant(vec, n) == expected, (n, vec)
-
-    def test_projection_rejects_wrong_size(self):
-        vec = VkVector(4, 1, {(1,): 1, (2,): -1})
-        with pytest.raises(ValueError):
-            project_to_invariant(vec, BlockTriple(1, 1, 1))
 
     def test_bound_refusal(self):
         with pytest.raises(OracleBoundExceeded):
             invariants_in_Vk(BlockTriple(7, 7, 6), 10, bound=1000)
 
-    @pytest.mark.parametrize("walk", [project_to_invariant, coeff_table_from_invariant])
-    def test_walks_refuse_past_the_bound_before_walking(self, walk, monkeypatch):
-        """Both walks check k and C(N, k) before they build an orbit frame."""
+    def test_read_refuses_past_the_bound_before_walking(self, monkeypatch):
+        """coeff_table_from_invariant checks k and C(N, k) before it builds
+        an orbit frame."""
         def no_walk(n, k):
             raise AssertionError("walked")
 
         monkeypatch.setattr(oracle, "_orbit_frame", no_walk)
         with pytest.raises(OracleBoundExceeded) as excinfo:
-            walk(VkVector(20, 10, {}), BlockTriple(7, 7, 6), bound=1000)
+            coeff_table_from_invariant(zero_vector(20, 10), BlockTriple(7, 7, 6), bound=1000)
         assert str(excinfo.value) == "monomial space size C(20,10) = 184756 exceeds bound 1000"
         with pytest.raises(OracleBoundExceeded) as excinfo:
-            walk(VkVector(24, 12, {}), BlockTriple(8, 8, 8))
+            coeff_table_from_invariant(zero_vector(24, 12), BlockTriple(8, 8, 8))
         assert str(excinfo.value) == "monomial space size C(24,12) = 2704156 exceeds bound 1000000"
         with pytest.raises(ValueError) as excinfo:
-            walk(VkVector(4, 3, {}), BlockTriple(2, 1, 1))
+            coeff_table_from_invariant(vector(4, 3, {}), BlockTriple(2, 1, 1))
         assert str(excinfo.value) == "need 0 <= 2k <= N, got k = 3, N = 4"
 
     def test_reads_do_not_depend_on_the_frame_cache(self, monkeypatch):
-        """coeff_table_from_invariant and project_to_invariant at blocks <= 3,
-        k = 0 included, on each invariant vector and on one vector that is
-        not invariant: a cleared, a warm and a one-entry orbit frame cache
-        give the same tables and projections."""
+        """coeff_table_from_invariant at blocks <= 3, k = 0 included, on each
+        invariant vector and on one vector that is not invariant: a cleared,
+        a warm and a one-entry orbit frame cache give the same tables."""
         cache = oracle._orbit_frame
         cases = []
         for n in small_triples(3):
             for k in range(n.N // 2 + 1):
                 cases += [(n, vec) for vec in invariants_in_Vk(n, k)]
-            cases.append((n, VkVector(n.N, 1, {(1,): 1, (n.N,): -1})))
+            cases.append((n, vector(n.N, 1, {(1,): 1, (n.N,): -1})))
         assert any(vec.k == 0 for _, vec in cases)
 
         def reads(n, vec):
-            projected = project_to_invariant(vec, n)
             try:
-                table = coeff_table_from_invariant(vec, n)
+                return coeff_table_from_invariant(vec, n)
             except ValueError as error:
-                table = str(error)
-            return table, projected
+                return str(error)
 
         cleared = {}
         for i, case in enumerate(cases):
@@ -1009,8 +880,8 @@ class TestInvariants:
             cleared[i] = reads(*case)
         assert {i: reads(*case) for i, case in enumerate(cases)} == cleared
         assert cache.cache_info().hits > 0
-        assert any(isinstance(table, str) for table, _ in cleared.values())
-        assert any(isinstance(table, CoeffTable) for table, _ in cleared.values())
+        assert any(isinstance(table, str) for table in cleared.values())
+        assert any(isinstance(table, CoeffTable) for table in cleared.values())
 
         # A one-entry cache, swept block triple by block triple, so that an
         # (n, k) comes back after others have evicted it.
@@ -1022,11 +893,12 @@ class TestInvariants:
         assert info.misses > len({(n, vec.k) for n, vec in cases})
         assert overfilled == cleared
 
-    @pytest.mark.parametrize("walk", [project_to_invariant, coeff_table_from_invariant])
-    def test_walks_run_at_the_bound(self, walk):
+    def test_read_runs_at_the_bound(self):
         n = BlockTriple(2, 1, 1)
         for vec in invariants_in_Vk(n, 1):
-            assert walk(vec, n, bound=binom(4, 1)) == walk(vec, n)
+            assert coeff_table_from_invariant(vec, n, bound=binom(4, 1)) == (
+                coeff_table_from_invariant(vec, n)
+            )
 
 
 class TestModuleOracle:
@@ -1103,6 +975,22 @@ class TestModuleOracle:
             k = rng.randint(0, n.N // 2)
             g = Permutation(tuple(rng.sample(range(1, n.N + 1), n.N)))
             assert phi_module_oracle(n, k, g) == phi_character_oracle(n, k, g), (n, k, g)
+
+    @pytest.mark.parametrize("n", small_triples(3), ids=lambda n: str(n.sizes))
+    def test_inverse_has_the_same_value(self, n):
+        """Phi(g^-1) = Phi(g) for both oracles at every k, on the N-cycle and
+        seeded shuffles: a character is real, so chi(x^-1) = chi(x), and
+        chi(h^-1 g) = chi(g h^-1), so the coset of g^-1 averages what the
+        coset of g does."""
+        rng = random.Random(f"20261026 {n.sizes}")
+        moves = [Permutation.from_cycle(list(range(1, n.N + 1)), n.N)]
+        moves += [Permutation(tuple(rng.sample(range(1, n.N + 1), n.N))) for _ in range(3)]
+        assert moves[0].inverse() != moves[0]
+        for k in range(n.N // 2 + 1):
+            for g in moves:
+                inverse = g.inverse()
+                for phi in (phi_module_oracle, phi_character_oracle):
+                    assert phi(n, k, inverse) == phi(n, k, g), (phi.__name__, n, k, g)
 
     def test_basis_matches_the_reference_system(self):
         """The frame's basis equals the kernel of the (k-1)-subset equations,

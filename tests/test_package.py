@@ -35,10 +35,13 @@ class TestExports:
                 assert getattr(sphfn, name) is getattr(module, name), name
 
     def test_surface(self):
-        """The diagnostic's type is public; core's input rules and zero are not."""
+        """The diagnostic's type is public; core's input rules and zero are
+        not, and the module layer's former basis and projection are gone."""
         assert sphfn.KappaZeroDiagnostic is eigsum.KappaZeroDiagnostic
         for name in ("Fraction", "ZERO", "check_k", "check_sizes", "pair_blocks", "cycle_blocks"):
             assert name not in sphfn.__all__ and hasattr(core, name), name
+        for name in ("build_Vk_basis", "project_to_invariant"):
+            assert name not in sphfn.__all__ and not hasattr(oracle, name), name
 
 
 def test_readme_library_example_runs():
