@@ -100,13 +100,16 @@ def m_range(n: BlockTriple, k: int) -> tuple[int, int]:
     permutation module on cosets of the three-block subgroup; the range is
     empty when m_L > m_U.
     """
-    check_k(n.N, k)
-    m_lower = max(0, k - n.n3)
-    m_upper = min(n.n1, n.n2, k, n.n1 + n.n2 - k)
-    return m_lower, m_upper
+    n1, n2, n3 = n.n1, n.n2, n.n3
+    check_k(n1 + n2 + n3, k)
+    return max(0, k - n3), min(n1, n2, k, n1 + n2 - k)
+
+
+def _range_count(m_lower: int, m_upper: int) -> int:
+    """The number of m with m_lower <= m <= m_upper; 0 for an empty range."""
+    return max(0, m_upper - m_lower + 1)
 
 
 def multiplicity(n: BlockTriple, k: int) -> int:
     """Multiplicity of the shape [N - k, k] in the coset module of the subgroup."""
-    m_lower, m_upper = m_range(n, k)
-    return max(0, m_upper - m_lower + 1)
+    return _range_count(*m_range(n, k))

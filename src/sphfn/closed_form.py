@@ -133,16 +133,20 @@ def g3_diagonal_coeff(n: BlockTriple, k: int, m: int) -> Fraction:
     )
 
 
-def _phi_3cycle_redundant(n: BlockTriple, k: int) -> Fraction:
+def _phi_3cycle_redundant(
+    n: BlockTriple, k: int, m_lower: int, m_upper: int, xn: int, xd: int
+) -> tuple[int, int]:
     """Independent regrouping of the 3-cycle sum, kept as a cross-check.
 
-    All of the bracket but its last term, xi(m_U) / (mu + 1), is summed over
-    the integers as 6 times its value; with xi(m_U) = xn / xd, one Fraction
-    is built from the two.
+    Takes the range (m_lower, m_upper) = m_range(n, k), nonempty, and
+    xi(m_U) = xn / xd with xd > 0, as _phi_3cycle_ratio works them out. All
+    of the bracket but its last term, xi(m_U) / (mu + 1), is summed over the
+    integers as 6 times its value, in terms of nu = m_L, delta = k - m_U and
+    mu = m_U - m_L rather than power sums of m. Returns the unreduced pair
+    ((mu + 1) bracket6 xd - 6 xn, 6 n1 n2 n3 xd).
     """
     n1, n2, n3 = n.sizes
-    N = n.N
-    m_lower, m_upper = m_range(n, k)
+    N = n1 + n2 + n3
     nu = m_lower
     delta = k - m_upper
     mu = m_upper - m_lower
@@ -156,8 +160,7 @@ def _phi_3cycle_redundant(n: BlockTriple, k: int) -> Fraction:
         + 6 * (nu - delta) * (n1 * n2 + nu * delta)
         - 3 * mu * delta * (delta - 1)
     )
-    xn, xd = _xi_ratio(n, k, m_upper)
-    return Fraction((mu + 1) * bracket6 * xd - 6 * xn, 6 * n1 * n2 * n3 * xd)
+    return (mu + 1) * bracket6 * xd - 6 * xn, 6 * n1 * n2 * n3 * xd
 
 
 def _power_sums(lower: int, upper: int) -> tuple[int, int, int, int]:
@@ -186,20 +189,22 @@ def phi_3cycle(n: BlockTriple, k: int) -> Fraction:
     every call against a second, differently grouped expression of the same
     sum; see _phi_3cycle_ratio.
     """
-    return Fraction(*_phi_3cycle_ratio(n, k))
+    return Fraction(*_phi_3cycle_ratio(n, k, *m_range(n, k)))
 
 
-def _phi_3cycle_ratio(n: BlockTriple, k: int) -> tuple[int, int]:
+def _phi_3cycle_ratio(n: BlockTriple, k: int, m_lower: int, m_upper: int) -> tuple[int, int]:
     """phi_3cycle as an unreduced pair (num, den) with den > 0, self-checked.
 
-    The check compares with _phi_3cycle_redundant by cross-multiplication;
-    Fractions are built only to report a disagreement.
+    The caller passes (m_lower, m_upper) = m_range(n, k), which has checked
+    k. xi(m_U) is worked out once, here, and handed with the range to
+    _phi_3cycle_redundant; the two integer pairs are compared by
+    cross-multiplication on every call, and Fractions are built only to word
+    a disagreement.
     """
-    n1, n2, n3 = n.sizes
-    N = n.N
-    m_lower, m_upper = m_range(n, k)
     if m_lower > m_upper:
         return 0, 1
+    n1, n2, n3 = n.sizes
+    N = n1 + n2 + n3
     # zeta(m) = -2 m^3 + (3k - N) m^2 + c1 m + c0
     c1 = n3 * n3 - k * k - (n3 - k) * N + n1 * n2
     c0 = (n3 - k) * n1 * n2
@@ -207,11 +212,11 @@ def _phi_3cycle_ratio(n: BlockTriple, k: int) -> tuple[int, int]:
     total = -2 * s3 + (3 * k - N) * s2 + c1 * s1 + c0 * s0
     xn, xd = _xi_ratio(n, k, m_upper)
     num, den = total * xd - xn, n1 * n2 * n3 * xd
-    redundant = _phi_3cycle_redundant(n, k)
-    if num * redundant.denominator != redundant.numerator * den:
+    rnum, rden = _phi_3cycle_redundant(n, k, m_lower, m_upper, xn, xd)
+    if num * rden != rnum * den:
         raise AssertionError(
             f"3-cycle regroupings disagree for n = {n.sizes}, k = {k}: "
-            f"{Fraction(num, den)} vs {redundant}"
+            f"{Fraction(num, den)} vs {Fraction(rnum, rden)}"
         )
     return num, den
 

@@ -6,8 +6,9 @@ where the value is known to be integral); no floating point appears anywhere.
 This module also owns the input rules every value is indexed by: int block
 sizes n_j >= 1 (check_sizes), an int point count N >= 0 where a caller gives
 N itself (check_N), a two-row shape [N - k, k] with an int k,
-0 <= 2k <= N (check_k), a pair of distinct blocks (pair_blocks) and a cycle
-through a nonempty set of blocks (cycle_blocks). Other modules call these
+0 <= 2k <= N (check_k), a pair of distinct blocks (pair_blocks), a cycle
+through a nonempty set of blocks (cycle_blocks) and an int size bound for
+the brute-force oracles and sweeps (check_bound). Other modules call these
 rather than restate a rule; only the CLI words the cycle rule again, to
 quote its input.
 """
@@ -54,6 +55,12 @@ def check_k(N: int, k: int) -> None:
         raise ValueError(f"k must be an int, got {k!r}")
     if k < 0 or 2 * k > N:
         raise ValueError(f"need 0 <= 2k <= N, got k = {k}, N = {N}")
+
+
+def check_bound(bound: int) -> None:
+    """Reject an oracle size bound that is not an int (a bool is not)."""
+    if type(bound) is not int:
+        raise ValueError(f"bound must be an int, got {bound!r}")
 
 
 def check_sizes(sizes: tuple[int, ...]) -> None:

@@ -16,9 +16,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .characters import dim_two_row, multiplicity
+from .characters import _range_count, dim_two_row, m_range, multiplicity
 from .closed_form import SphericalQuery, _phi_3cycle_ratio, _two_cycle_ratio, phi_closed_form
-from .core import BlockTriple, check_k, complete_homogeneous
+from .core import BlockTriple, complete_homogeneous
 
 __all__ = [
     "DegreeTriple",
@@ -105,13 +105,16 @@ def eigenvalue_sum(n: BlockTriple, d: DegreeTriple, k: int, p: int) -> Fraction:
     (-kappa)^(l-1) h_{p+1-l}(dt_A) = (-P)^(l-1) h_{p+1-l}(a_A) / q^p.
     The seven small terms c_A = (-P)^(|A|-1) h_{p+1-|A|}(a_A) Phi_A are put
     over one common denominator of the Phi values (c_123 = 0 when p = 1) and
-    combined with the factorials f_i = n_i! in Horner form,
-    f1 (c1 + f2 (c12 + f3 c123) + f3 c13) + f2 (c2 + f3 c23) + f3 c3,
-    so that one Fraction is built at the end. The block sizes are unpacked
-    and k is checked here first; multiplicity and dim_two_row check it again,
-    as do both 3-cycle regroupings (through m_range) when p >= 2: three
-    checks for p = 1, five otherwise. The factorials come from a bounded
-    cache (_factorial). The Phi values come from the integer kernels that
+    combined with the factorials f_i = n_i! and f23 = f2 f3 as
+    f1 (c1 + f2 c12 + f3 c13 + f23 c123) + f2 c2 + f3 c3 + f23 c23,
+    two products of two factorial-sized integers, so that one Fraction is
+    built at the end. The factorials come from a bounded cache (_factorial);
+    the three pair sums h_{p-1}(a_i, a_j) come from one loop, and only
+    h_{p-2}(a1, a2, a3) from core.complete_homogeneous.
+
+    One m_range call checks k and gives the range that the multiplicity
+    Phi_1 counts and the 3-cycle kernel sums over; dim_two_row checks k
+    once more. The other Phi values come from the integer kernels that
     phi_2cycle and phi_3cycle share: _two_cycle_ratio on the sizes of each
     pair, with the third block last, and _phi_3cycle_ratio, which keeps the
     3-cycle self-check. eigenvalue_sum_recheck takes the other route,
@@ -119,29 +122,36 @@ def eigenvalue_sum(n: BlockTriple, d: DegreeTriple, k: int, p: int) -> Fraction:
     """
     _check_order(p)
     n1, n2, n3 = n.sizes
-    N = n1 + n2 + n3
-    check_k(N, k)
+    m_lower, m_upper = m_range(n, k)
     P, q = d.kappa.numerator, d.kappa.denominator
     a1, a2, a3 = q * d.d1 + P * (n2 + n3), q * d.d2 + P * n3, q * d.d3
     f1, f2, f3 = _factorial(n1), _factorial(n2), _factorial(n3)
-    phi1 = multiplicity(n, k)
     n12, d12 = _two_cycle_ratio(n1, n2, n3, k)
     n13, d13 = _two_cycle_ratio(n1, n3, n2, k)
     n23, d23 = _two_cycle_ratio(n2, n3, n1, k)
     if p >= 2:
-        n123, d123 = _phi_3cycle_ratio(n, k)
+        n123, d123 = _phi_3cycle_ratio(n, k, m_lower, m_upper)
         h123 = complete_homogeneous((a1, a2, a3), p - 2)
     else:  # no 3-cycle term
         n123, d123, h123 = 0, 1, 0
+    # h_{p-1} of the three pairs, through h_j(x, y) = x h_{j-1}(x, y) + y^j.
+    h12 = h13 = h23 = y2 = y3 = 1
+    for _ in range(p - 1):
+        y2 *= a2
+        y3 *= a3
+        h12 = a1 * h12 + y2
+        h13 = a1 * h13 + y3
+        h23 = a2 * h23 + y3
     common = math.lcm(d12, d13, d23, d123)
-    c = common * phi1
+    c = common * _range_count(m_lower, m_upper)
     c1, c2, c3 = c * a1**p, c * a2**p, c * a3**p
-    c12 = -P * complete_homogeneous((a1, a2), p - 1) * n12 * (common // d12)
-    c13 = -P * complete_homogeneous((a1, a3), p - 1) * n13 * (common // d13)
-    c23 = -P * complete_homogeneous((a2, a3), p - 1) * n23 * (common // d23)
+    c12 = -P * h12 * n12 * (common // d12)
+    c13 = -P * h13 * n13 * (common // d13)
+    c23 = -P * h23 * n23 * (common // d23)
     c123 = P * P * h123 * n123 * (common // d123)
-    total = f1 * (c1 + f2 * (c12 + f3 * c123) + f3 * c13) + f2 * (c2 + f3 * c23) + f3 * c3
-    return Fraction(dim_two_row(N, k) * total, common * q**p)
+    f23 = f2 * f3
+    total = f1 * (c1 + f2 * c12 + f3 * c13 + f23 * c123) + f2 * c2 + f3 * c3 + f23 * c23
+    return Fraction(dim_two_row(n1 + n2 + n3, k) * total, common * q**p)
 
 
 def _h_by_enumeration(values, degree: int) -> Fraction:

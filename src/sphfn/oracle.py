@@ -14,9 +14,9 @@ Two oracles, independent of each other and of the Hahn machinery:
   by squarefree degree-k monomials, cut out by the vanishing of the divergence,
   and takes the trace of project-then-translate on its invariant vectors.
 
-Both refuse to run past a size bound: the subgroup order n1! n2! n3! for the
-character oracle, C(N, k) for the module oracle. They exist to be right, not
-fast.
+Both refuse to run past a size bound, an int (core.check_bound): the
+subgroup order n1! n2! n3! for the character oracle, C(N, k) for the module
+oracle. They exist to be right, not fast.
 
 The caches; no value depends on what they hold:
 
@@ -75,6 +75,7 @@ from .core import (
     Partition,
     Permutation,
     binom,
+    check_bound,
     check_k,
     check_sizes,
     compose,
@@ -266,6 +267,7 @@ def phi_character_oracle(
     The bound caps the subgroup order n1! n2! n3!, however the coset's cycle
     types are counted.
     """
+    check_bound(bound)
     _check_n_k(n, k)
     _check_permutation(g, n)
     order = _check_order(n.sizes, bound)
@@ -287,6 +289,7 @@ def two_factor_character_oracle(
     The rest of the package stays three-block. The bound caps the subgroup
     order n1! n2!.
     """
+    check_bound(bound)
     check_sizes((n1, n2))
     shape = two_row(n1 + n2, k)
     order = _check_order((n1, n2), bound)
@@ -456,6 +459,7 @@ def invariants_in_Vk(n: BlockTriple, k: int, bound: int = DEFAULT_BOUND) -> list
     The count equals the multiplicity of the two-row shape; each vector is
     constant on subset orbits and so corresponds to one coefficient table.
     """
+    check_bound(bound)
     _check_n_k(n, k)
     check_k(n.N, k)
     _check_space_bound(n.N, k, bound)
@@ -469,9 +473,11 @@ def coeff_table_from_invariant(
     """Read the orbit constants off an invariant vector; reject non-constant
     ones, naming the orbit of the first subset that breaks the constant.
     Each value is compared with its orbit's first by identity, and by
-    value only when the two are distinct objects. Refuses a vec that is
-    not a VkVector, one on another number of points than n covers, 2k > N
-    and C(N, k) past the bound, all before the orbit frame."""
+    value only when the two are distinct objects. Refuses a bound that is
+    not an int, a vec that is not a VkVector, one on another number of
+    points than n covers, 2k > N and C(N, k) past the bound, all before the
+    orbit frame."""
+    check_bound(bound)
     if not isinstance(vec, VkVector):
         raise ValueError(f"vec must be a VkVector, got {vec!r}")
     _check_n_k(n, vec.k)
@@ -524,6 +530,7 @@ def phi_module_oracle(
     every label, checked exactly in integers, or ValueError is raised as an
     inconsistent linear system. The trace sums coordinate i of image i.
     """
+    check_bound(bound)
     _check_n_k(n, k)
     _check_permutation(g, n)
     check_k(n.N, k)

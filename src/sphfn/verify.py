@@ -13,7 +13,7 @@ from typing import Callable, Iterator, Optional
 
 from .characters import m_range
 from .closed_form import phi_2cycle, phi_3cycle
-from .core import BlockTriple, embed_cycle
+from .core import BlockTriple, check_bound, embed_cycle
 from .hahn import CoeffTable, HahnContext, psi_table
 from .invariant_calculus import (
     apply_rho_g2,
@@ -64,6 +64,7 @@ def _verify_cycles(
 ) -> Iterator[Optional[str]]:
     """closed(n, k, cycle) against the character oracle at each of the cycles,
     each embedded once per triple; k outermost, then the cycles in order."""
+    check_bound(bound)
     for n in block_triples(max_block):
         embedded = [(cycle, embed_cycle(cycle, n)) for cycle in cycles]
         for k in _k_values(n):
@@ -85,6 +86,9 @@ def _psi_tables(max_block: int) -> Iterator[tuple[BlockTriple, int, int, CoeffTa
 
 
 def verify_eigen(max_block: int, bound: int) -> Iterator[Optional[str]]:
+    """Each Hahn table against its averaged 2-cycle image; no oracle runs,
+    but the bound is still held to its rule."""
+    check_bound(bound)
     for n, k, m, table in _psi_tables(max_block):
         if apply_rho_g2(table) != table.scaled(g2_eigenvalue(m, n.n1, n.n2)):
             yield f"n={n.sizes} k={k} m={m}: averaged 2-cycle action is not scalar"
@@ -105,6 +109,7 @@ def verify_diffeq(max_block: int, bound: int) -> Iterator[Optional[str]]:
     A module query over the bound is refused before the tables are built, at
     the same (n, k) and with the same error as the module half would raise.
     """
+    check_bound(bound)
     for n in block_triples(max_block):
         for k in _k_values(n):
             _check_space_bound(n.N, k, bound)
@@ -119,8 +124,9 @@ def verify_diffeq(max_block: int, bound: int) -> Iterator[Optional[str]]:
 
 
 # Each suite yields one entry per comparison, in a fixed order: None when it
-# agrees, the counterexample otherwise. The closed forms are looked up at call
-# time, so a patched or wrapped module attribute is the one that runs.
+# agrees, the counterexample otherwise. Each checks its bound (core.check_bound)
+# before its first entry. The closed forms are looked up at call time, so a
+# patched or wrapped module attribute is the one that runs.
 SUITES: dict[str, Callable[[int, int], Iterator[Optional[str]]]] = {
     "twocycle": partial(_verify_cycles, PAIRS, lambda n, k, pair: phi_2cycle(n, k, pair)),
     "threecycle": partial(_verify_cycles, ((1, 2, 3),), lambda n, k, _: phi_3cycle(n, k)),

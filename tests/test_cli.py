@@ -462,12 +462,16 @@ class TestSelfCheckFailure:
         ],
     )
     def test_disagreeing_regroupings_exit_one(self, runner, monkeypatch, args):
-        """A failed 3-cycle self-check is reported as an error, not a traceback."""
-        from fractions import Fraction
+        """A failed 3-cycle self-check is reported as an error, not a traceback,
+        even when the regroupings differ by one unit of the redundant pair's
+        denominator."""
+        original = sphfn.closed_form._phi_3cycle_redundant
 
-        monkeypatch.setattr(
-            sphfn.closed_form, "_phi_3cycle_redundant", lambda n, k: Fraction(-12345)
-        )
+        def shifted(*args):
+            num, den = original(*args)
+            return num + 1, den
+
+        monkeypatch.setattr(sphfn.closed_form, "_phi_3cycle_redundant", shifted)
         result = runner.invoke(main, args)
         assert result.exit_code == 1, result.output
         assert isinstance(result.exception, SystemExit)

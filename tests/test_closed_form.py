@@ -248,17 +248,32 @@ class TestThreeCycle:
             assert phi_3cycle(BlockTriple(*perm), k) == value, perm
 
 
+def redundant_pair(n, k):
+    """The redundant 3-cycle regrouping's pair, fed the range and xi(m_U)."""
+    m_lower, m_upper = m_range(n, k)
+    return _phi_3cycle_redundant(n, k, m_lower, m_upper, *_xi_ratio(n, k, m_upper))
+
+
 class TestIntegerKernels:
     def test_redundant_regrouping_agrees_to_block_eight(self):
         for n in small_triples(8):
             for k in range(n.N // 2 + 1):
                 m_lower, m_upper = m_range(n, k)
                 if m_lower <= m_upper:
-                    assert _phi_3cycle_redundant(n, k) == phi_3cycle(n, k), (n, k)
+                    assert Fraction(*redundant_pair(n, k)) == phi_3cycle(n, k), (n, k)
+
+    @given(triple_and_k())
+    def test_redundant_regrouping_agrees_as_integer_pairs_at_real_sizes(self, query):
+        n, k = query
+        m_lower, m_upper = m_range(n, k)
+        if m_lower <= m_upper:
+            num, den = _phi_3cycle_ratio(n, k, m_lower, m_upper)
+            rnum, rden = redundant_pair(n, k)
+            assert den > 0 and rden > 0 and num * rden == rnum * den, (n, k)
 
     @staticmethod
     def check_ratios(n, k):
-        num, den = _phi_3cycle_ratio(n, k)
+        num, den = _phi_3cycle_ratio(n, k, *m_range(n, k))
         assert den > 0 and Fraction(num, den) == phi_3cycle(n, k), (n, k)
         for pair in PAIRS:
             num, den = _two_cycle_ratio(*_pair_sizes(n, k, pair), k)
@@ -304,12 +319,14 @@ class TestSelfCheckRuns:
 
     @pytest.fixture
     def off_by_one_step(self, monkeypatch):
+        """Shift the redundant pair by one unit of its denominator,
+        6 n1 n2 n3 xd: the smallest change its value can make."""
         original = _phi_3cycle_redundant
 
-        def shifted(n, k):
-            n1, n2, n3 = n.sizes
-            _, xd = _xi_ratio(n, k, m_range(n, k)[1])
-            return original(n, k) + Fraction(1, 6 * n1 * n2 * n3 * xd)
+        def shifted(n, k, m_lower, m_upper, xn, xd):
+            num, den = original(n, k, m_lower, m_upper, xn, xd)
+            assert den == 6 * n.n1 * n.n2 * n.n3 * xd
+            return num + 1, den
 
         monkeypatch.setattr(sphfn.closed_form, "_phi_3cycle_redundant", shifted)
 

@@ -38,6 +38,7 @@ from sphfn.core import (
     pochhammer,
     young_subgroup_elements,
 )
+from sphfn.verify import SUITES, run_suite
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=20
@@ -256,6 +257,25 @@ def _k_rule_cases(k, message: str) -> list:
     return [pytest.param(call, message, id=f"{name}-k={k!r}") for name, call in calls.items()]
 
 
+def _bound_rule_cases(bound, message: str) -> list:
+    identity = Permutation.identity(3)
+    calls = {
+        "phi_character_oracle": lambda: phi_character_oracle(TINY, 1, identity, bound),
+        "two_factor_character_oracle": lambda: two_factor_character_oracle(1, 2, 1, bound),
+        "invariants_in_Vk": lambda: invariants_in_Vk(TINY, 1, bound),
+        "coeff_table_from_invariant": lambda: coeff_table_from_invariant(
+            invariants_in_Vk(TINY, 1)[0], TINY, bound
+        ),
+        "phi_module_oracle": lambda: phi_module_oracle(TINY, 1, identity, bound),
+        "run_suite": lambda: run_suite("eigen", 1, bound),
+    }
+    for suite in SUITES:
+        calls[f"{suite}_suite"] = lambda suite=suite: next(SUITES[suite](1, bound))
+    return [
+        pytest.param(call, message, id=f"{name}-bound={bound!r}") for name, call in calls.items()
+    ]
+
+
 RULE_CASES = (
     _k_rule_cases(-1, "need 0 <= 2k <= N, got k = -1, N = 3")
     + _k_rule_cases(2, "need 0 <= 2k <= N, got k = 2, N = 3")
@@ -319,6 +339,9 @@ RULE_CASES = (
         pytest.param(lambda: coeff_table_from_invariant(invariants_in_Vk(TINY, 1)[0], (1, 1, 1)),
                      "n must be a BlockTriple, got (1, 1, 1)", id="coeff_table_from_invariant-n"),
     ]
+    + _bound_rule_cases(1e6, "bound must be an int, got 1000000.0")
+    + _bound_rule_cases(True, "bound must be an int, got True")
+    + _bound_rule_cases("10", "bound must be an int, got '10'")
 )
 
 
