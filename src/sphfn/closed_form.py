@@ -254,11 +254,10 @@ def phi_special(n: BlockTriple, k: int, cycle: tuple[int, ...] = (1, 2, 3)) -> O
             )
             return Fraction(-prod - pairs, n1 * n2 * n3)
         if n1 == n2 == n3:
+            # factor (b^2 - 3bk/2 + k(k - 1)/2) / b^2, over the integers
             b = n1
-            inner = b * b - Fraction(3 * b * k, 2) + Fraction(k * (k - 1), 2)
-            if k <= b:
-                return Fraction(k + 1, b * b) * inner
-            return Fraction(3 * b - 2 * k + 1, b * b) * inner
+            factor = k + 1 if k <= b else 3 * b - 2 * k + 1
+            return Fraction(factor * (2 * b * b - 3 * b * k + k * (k - 1)), 2 * b * b)
         return None
     if cycle == (1, 2):
         if k == n1 + n3:

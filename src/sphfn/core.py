@@ -7,10 +7,10 @@ This module also owns the input rules every value is indexed by: int block
 sizes n_j >= 1 (check_sizes), an int point count N >= 0 where a caller gives
 N itself (check_N), a two-row shape [N - k, k] with an int k,
 0 <= 2k <= N (check_k), a pair of distinct blocks (pair_blocks), a cycle
-through a nonempty set of blocks (cycle_blocks) and an int size bound for
-the brute-force oracles and sweeps (check_bound). Other modules call these
-rather than restate a rule; only the CLI words the cycle rule again, to
-quote its input.
+through a nonempty set of blocks (cycle_blocks), an int size bound for the
+brute-force oracles and sweeps (check_bound) and an int index argument of
+the arithmetic helpers (check_int). Other modules call these rather than
+restate a rule; only the CLI words the cycle rule again, to quote its input.
 """
 from __future__ import annotations
 
@@ -57,10 +57,15 @@ def check_k(N: int, k: int) -> None:
         raise ValueError(f"need 0 <= 2k <= N, got k = {k}, N = {N}")
 
 
+def check_int(name: str, value: int) -> None:
+    """Reject an index argument that is not an int (a bool is not)."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+
+
 def check_bound(bound: int) -> None:
     """Reject an oracle size bound that is not an int (a bool is not)."""
-    if type(bound) is not int:
-        raise ValueError(f"bound must be an int, got {bound!r}")
+    check_int("bound", bound)
 
 
 def check_sizes(sizes: tuple[int, ...]) -> None:
@@ -275,9 +280,13 @@ def cycle_type(p: Permutation) -> Partition:
 
 
 def pochhammer(a, j: int):
-    """Rising factorial a(a+1)...(a+j-1); the empty product (j=0) is 1."""
+    """Rising factorial a(a+1)...(a+j-1); the empty product (j=0) is 1.
+
+    a may be an int or a Fraction; j is an int >= 0.
+    """
+    check_int("j", j)
     if j < 0:
-        raise ValueError(f"pochhammer needs j >= 0, got {j}")
+        raise ValueError(f"need j >= 0, got {j}")
     result = a - a + 1  # 1 in the arithmetic type of a
     for i in range(j):
         result *= a + i
@@ -285,7 +294,9 @@ def pochhammer(a, j: int):
 
 
 def binom(n: int, k: int) -> int:
-    """Binomial coefficient, 0 outside the range 0 <= k <= n."""
+    """Binomial coefficient of ints n and k, 0 outside the range 0 <= k <= n."""
+    check_int("n", n)
+    check_int("k", k)
     if k < 0 or k > n:
         return 0
     return math.comb(n, k)
@@ -295,10 +306,11 @@ def complete_homogeneous(values: Sequence, degree: int):
     """h_degree(values): the sum of all monomials of the given total degree.
 
     Computed through the generating function 1 / prod(1 - c_i t), one value at
-    a time; exact for int and Fraction inputs.
+    a time; exact for int and Fraction inputs. The degree is an int >= 0.
     """
+    check_int("degree", degree)
     if degree < 0:
-        raise ValueError(f"degree must be >= 0, got {degree}")
+        raise ValueError(f"need degree >= 0, got {degree}")
     h = [1] + [0] * degree
     for c in values:
         for j in range(1, degree + 1):

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .characters import _range_count, dim_two_row, m_range, multiplicity
 from .closed_form import SphericalQuery, _phi_3cycle_ratio, _two_cycle_ratio, phi_closed_form
-from .core import BlockTriple, complete_homogeneous
+from .core import BlockTriple
 
 __all__ = [
     "DegreeTriple",
@@ -104,13 +104,17 @@ def eigenvalue_sum(n: BlockTriple, d: DegreeTriple, k: int, p: int) -> Fraction:
     over the common denominator q^p:
     (-kappa)^(l-1) h_{p+1-l}(dt_A) = (-P)^(l-1) h_{p+1-l}(a_A) / q^p.
     The seven small terms c_A = (-P)^(|A|-1) h_{p+1-|A|}(a_A) Phi_A are put
-    over one common denominator of the Phi values (c_123 = 0 when p = 1) and
-    combined with the factorials f_i = n_i! and f23 = f2 f3 as
+    over one denominator D = 6 d123 (c_123 = 0 when p = 1). Here d123 is the
+    3-cycle kernel's own denominator n1 n2 n3 xd, or n1 n2 n3 at p = 1 and on
+    an empty range, so every pair denominator 6 na nb divides D. The terms
+    are combined with the factorials f_i = n_i! and f23 = f2 f3 as
     f1 (c1 + f2 c12 + f3 c13 + f23 c123) + f2 c2 + f3 c3 + f23 c23,
-    two products of two factorial-sized integers, so that one Fraction is
-    built at the end. The factorials come from a bounded cache (_factorial);
-    the three pair sums h_{p-1}(a_i, a_j) come from one loop, and only
-    h_{p-2}(a1, a2, a3) from core.complete_homogeneous.
+    two products of two factorial-sized integers, so that one Fraction,
+    which reduces, is built at the end. The factorials come from a bounded
+    cache (_factorial). One loop builds the three pair sums h_{p-1}(a_i, a_j)
+    and, from the running h_j(a1, a2), h_{p-2}(a1, a2, a3) through
+    h_j(a1, a2, a3) = h_j(a1, a2) + a3 h_{j-1}(a1, a2, a3); no
+    complete_homogeneous call is made.
 
     One m_range call checks k and gives the range that the multiplicity
     Phi_1 counts and the 3-cycle kernel sums over; dim_two_row checks k
@@ -129,30 +133,31 @@ def eigenvalue_sum(n: BlockTriple, d: DegreeTriple, k: int, p: int) -> Fraction:
     n12, d12 = _two_cycle_ratio(n1, n2, n3, k)
     n13, d13 = _two_cycle_ratio(n1, n3, n2, k)
     n23, d23 = _two_cycle_ratio(n2, n3, n1, k)
-    if p >= 2:
+    if p >= 2 and m_lower <= m_upper:
         n123, d123 = _phi_3cycle_ratio(n, k, m_lower, m_upper)
-        h123 = complete_homogeneous((a1, a2, a3), p - 2)
     else:  # no 3-cycle term
-        n123, d123, h123 = 0, 1, 0
-    # h_{p-1} of the three pairs, through h_j(x, y) = x h_{j-1}(x, y) + y^j.
+        n123, d123 = 0, n1 * n2 * n3
+    # h_{p-1} of the three pairs, through h_j(x, y) = x h_{j-1}(x, y) + y^j,
+    # and h_{p-2}(a1, a2, a3) = h_{p-2}(a1, a2) + a3 h_{p-3}(a1, a2, a3).
     h12 = h13 = h23 = y2 = y3 = 1
+    h123 = 0
     for _ in range(p - 1):
+        h123 = h12 + a3 * h123
         y2 *= a2
         y3 *= a3
         h12 = a1 * h12 + y2
         h13 = a1 * h13 + y3
         h23 = a2 * h23 + y3
-    common = math.lcm(d12, d13, d23, d123)
+    common = 6 * d123
     c = common * _range_count(m_lower, m_upper)
     c1, c2, c3 = c * a1**p, c * a2**p, c * a3**p
     c12 = -P * h12 * n12 * (common // d12)
     c13 = -P * h13 * n13 * (common // d13)
     c23 = -P * h23 * n23 * (common // d23)
-    c123 = P * P * h123 * n123 * (common // d123)
+    c123 = 6 * P * P * h123 * n123
     f23 = f2 * f3
     total = f1 * (c1 + f2 * c12 + f3 * c13 + f23 * c123) + f2 * c2 + f3 * c3 + f23 * c23
     return Fraction(dim_two_row(n1 + n2 + n3, k) * total, common * q**p)
-
 
 def _h_by_enumeration(values, degree: int) -> Fraction:
     """Complete homogeneous sum spelled out monomial by monomial."""

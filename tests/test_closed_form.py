@@ -358,6 +358,21 @@ class TestSpecialValues:
                 if shortcut is not None:
                     assert shortcut == phi_2cycle(n, k, (1, 2)), (n, k)
 
+    def test_equal_blocks_display_at_every_b_up_to_60(self):
+        """All three blocks of size b, every k: the display's two branches,
+        k <= b and k > b, against the general 3-cycle form."""
+        for b in range(1, 61):
+            n = BlockTriple(b, b, b)
+            for k in range(3 * b // 2 + 1):
+                assert phi_special(n, k) == phi_3cycle(n, k), (b, k)
+
+    @given(st.data())
+    def test_equal_blocks_display_up_to_b_10000(self, data):
+        b = data.draw(st.integers(1, 10**4))
+        k = data.draw(st.integers(0, 3 * b // 2))
+        n = BlockTriple(b, b, b)
+        assert phi_special(n, k) == phi_3cycle(n, k), (b, k)
+
     @pytest.mark.parametrize(
         "sizes,k,cycle,expected",
         [

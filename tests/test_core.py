@@ -338,6 +338,21 @@ RULE_CASES = (
                      "n must be a BlockTriple, got (1, 1, 1)", id="invariants_in_Vk-n"),
         pytest.param(lambda: coeff_table_from_invariant(invariants_in_Vk(TINY, 1)[0], (1, 1, 1)),
                      "n must be a BlockTriple, got (1, 1, 1)", id="coeff_table_from_invariant-n"),
+        # The arithmetic helpers' index arguments are ints; a bool is not one.
+        pytest.param(lambda: complete_homogeneous([1, 2], True), "degree must be an int, got True",
+                     id="complete_homogeneous-degree=True"),
+        pytest.param(lambda: complete_homogeneous([1, 2], 1.0), "degree must be an int, got 1.0",
+                     id="complete_homogeneous-degree=1.0"),
+        pytest.param(lambda: complete_homogeneous([1, 2], -1), "need degree >= 0, got -1",
+                     id="complete_homogeneous-degree=-1"),
+        pytest.param(lambda: pochhammer(3, True), "j must be an int, got True", id="pochhammer-j=True"),
+        pytest.param(lambda: pochhammer(Fraction(1, 2), 2.0), "j must be an int, got 2.0",
+                     id="pochhammer-j=2.0"),
+        pytest.param(lambda: pochhammer(1, -1), "need j >= 0, got -1", id="pochhammer-j=-1"),
+        pytest.param(lambda: binom(True, 1), "n must be an int, got True", id="binom-n=True"),
+        pytest.param(lambda: binom(5.0, 2), "n must be an int, got 5.0", id="binom-n=5.0"),
+        pytest.param(lambda: binom(5, 2.0), "k must be an int, got 2.0", id="binom-k=2.0"),
+        pytest.param(lambda: binom(5, False), "k must be an int, got False", id="binom-k=False"),
     ]
     + _bound_rule_cases(1e6, "bound must be an int, got 1000000.0")
     + _bound_rule_cases(True, "bound must be an int, got True")

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import sphfn.eigsum
 from sphfn.characters import dim_two_row, multiplicity
+from sphfn.closed_form import phi_3cycle
 from sphfn.core import BlockTriple, complete_homogeneous
 from sphfn.eigsum import (
     DegreeTriple,
@@ -178,14 +179,28 @@ class TestEigenvalueSum:
                     assert eigenvalue_sum(n, d, k, p) == expected, (n, k, p)
 
     def test_two_paths_agree(self):
-        """Every block triple up to 3, every k (empty multiplicity ranges
-        included), p = 1 (no 3-cycle term) to 4 and six couplings."""
-        for n in small_triples(3):
+        """Every block triple up to 3 and the three orders of (1, 1, 4), every
+        k, p = 1 (no 3-cycle term) to 6 and six couplings: h_{p-2}(a1, a2, a3)
+        up to degree 4 and the one common denominator, at every p that
+        closed_stream draws.
+
+        Blocks up to 3 have no empty multiplicity range; (1, 1, 4) at k = 3
+        has one. 3-cycle values of 0 on a nonempty range occur at blocks up
+        to 3, where the kernel's denominator is still the common one.
+        """
+        triples = small_triples(3) + [BlockTriple(*s) for s in ((1, 1, 4), (1, 4, 1), (4, 1, 1))]
+        assert [n for n in triples for k in range(n.N // 2 + 1) if multiplicity(n, k) == 0] == (
+            triples[-3:]
+        )
+        for sizes in ((1, 2, 2), (2, 1, 2), (2, 2, 1)):
+            n = BlockTriple(*sizes)
+            assert n in triples and multiplicity(n, 1) > 0 and phi_3cycle(n, 1) == 0, sizes
+        for n in triples:
             for k in range(n.N // 2 + 1):
                 for kappa in (0, 1, -1, Fraction(-1, 2), Fraction(2, 3), -3):
                     for degrees in ((2, 1, 0), (4, 2, 1)):
                         d = DegreeTriple(*degrees, kappa)
-                        for p in range(1, 5):
+                        for p in range(1, 7):
                             assert eigenvalue_sum(n, d, k, p) == (
                                 eigenvalue_sum_recheck(n, d, k, p)
                             ), (n, k, kappa, degrees, p)
