@@ -10,7 +10,10 @@ N itself (check_N), a two-row shape [N - k, k] with an int k,
 through a nonempty set of blocks (cycle_blocks), an int size bound for the
 brute-force oracles and sweeps (check_bound) and an int index argument of
 the arithmetic helpers (check_int). Other modules call these rather than
-restate a rule; only the CLI words the cycle rule again, to quote its input.
+restate a rule. Two places word a rule again: the CLI words the cycle rule,
+to quote its input, and eigsum.DegreeTriple words the int rule as one
+message naming all three degrees ("degrees must be ints, got ..."), which
+its tests pin.
 """
 from __future__ import annotations
 

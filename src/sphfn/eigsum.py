@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .characters import _range_count, dim_two_row, m_range, multiplicity
 from .closed_form import SphericalQuery, _phi_3cycle_ratio, _two_cycle_ratio, phi_closed_form
-from .core import BlockTriple
+from .core import BlockTriple, check_int
 
 __all__ = [
     "DegreeTriple",
@@ -33,8 +33,7 @@ __all__ = [
 
 def _check_order(p: int) -> None:
     """Reject an operator power that is not an int >= 1 (a bool is not)."""
-    if type(p) is not int:
-        raise ValueError(f"p must be an int, got {p!r}")
+    check_int("p", p)
     if p < 1:
         raise ValueError(f"need p >= 1, got {p}")
 

@@ -5,6 +5,11 @@ orbit of the three-block subgroup on squarefree monomials; orbits are labeled
 by the pair (u, v) counting chosen points in blocks 1 and 2. The tables built
 here evaluate the product of a one-variable Hahn polynomial in u + v and a
 two-variable one in (u, v).
+
+Those values are integers. _psi_values builds them as one integer column per
+HahnContext over a given grid; psi_table, expand_in_psi_basis and
+InvariantExpansion.as_table each build the columns they read on every call,
+and nothing here is cached. hahn_E, psi1 and psi2 evaluate at given points.
 """
 from __future__ import annotations
 
@@ -15,7 +20,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .characters import m_range
-from .core import ZERO, BlockTriple
+from .core import ZERO, BlockTriple, check_int
 
 __all__ = [
     "hahn_E",
@@ -53,15 +58,27 @@ def _hahn_sum(weights: list[int], lower: list, upper: list):
     return sum(map(operator.mul, weights, map(operator.mul, lower, reversed(upper))))
 
 
+def _check_rational(name: str, value) -> None:
+    """Reject a value that is neither an int nor a Fraction (a bool is neither)."""
+    if type(value) is not int and not isinstance(value, Fraction):
+        raise ValueError(f"{name} must be an int or a Fraction, got {value!r}")
+
+
 def hahn_E(m: int, alpha: int, beta: int, gamma, t) -> Fraction:
     """Degree-m Hahn-type polynomial E_m(alpha, beta, gamma; t).
 
     E_m = sum_i (-1)^i C(m, i) (beta-m+1)_i (alpha-m+1)_{m-i} (-t)_i (t-gamma)_{m-i}.
 
+    m, alpha and beta must be ints and gamma and t ints or Fractions, so the
+    sum is exact; a float or a bool raises ValueError naming the argument.
     The t-free weights and the t-dependent sum are split so that psi_table
     can compute the weights once per table and the rising factorials once
     per axis value; this is the only body of E_m.
     """
+    for name, value in (("m", m), ("alpha", alpha), ("beta", beta)):
+        check_int(name, value)
+    _check_rational("gamma", gamma)
+    _check_rational("t", t)
     weights = _hahn_weights(m, alpha, beta)
     return Fraction(_hahn_sum(weights, _rising(-t, m), _rising(t - gamma, m)))
 
@@ -70,8 +87,7 @@ def _check_n_k(n: BlockTriple, k: int) -> None:
     """Reject n that is not a BlockTriple and k that is not an int (a bool is not)."""
     if not isinstance(n, BlockTriple):
         raise ValueError(f"n must be a BlockTriple, got {n!r}")
-    if type(k) is not int:
-        raise ValueError(f"k must be an int, got {k!r}")
+    check_int("k", k)
 
 
 @dataclass(frozen=True)
@@ -84,8 +100,7 @@ class HahnContext:
 
     def __post_init__(self):
         _check_n_k(self.n, self.k)
-        if type(self.m) is not int:
-            raise ValueError(f"m must be an int, got {self.m!r}")
+        check_int("m", self.m)
         m_lower, m_upper = m_range(self.n, self.k)
         if not m_lower <= self.m <= m_upper:
             raise ValueError(

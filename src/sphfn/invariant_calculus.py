@@ -21,7 +21,7 @@ from typing import Mapping
 from . import linalg
 from .characters import m_range
 from .core import ZERO, BlockTriple, pair_blocks
-from .hahn import CoeffTable, HahnContext, _check_n_k, _psi_values, psi1, psi2, psi_table
+from .hahn import CoeffTable, HahnContext, _check_n_k, _psi_values, admissible_grid, psi1, psi2
 
 __all__ = [
     "check_difference_equation",
@@ -57,31 +57,41 @@ def check_difference_equation(table: CoeffTable) -> bool:
 
 
 def _averaged_cycle(table: CoeffTable, blocks: tuple[int, ...]) -> CoeffTable:
-    """The module docstring's rule for ascending blocks, summed in integers."""
+    """The module docstring's rule for ascending blocks, summed in integers.
+
+    The scaled table is laid out flat with a border of zeros, label (u, v)
+    at (u + 1) * width + v + 1, so each pattern's source is one fixed offset
+    from the label and reads 0 off the grid. The weights of a label's
+    patterns are the products of one of (x_b, n_b - x_b) per block, in the
+    order itertools.product gives both; the image has one denominator.
+    """
     n, k = table.n, table.k
     grid = table.labels()
     values, scale = linalg.over_common_denominator(x for _, x in table.items())
-    scaled = dict(zip(grid, values))
-    sizes = [n.size(b) for b in blocks]
-    patterns = []
+    width = k + 3
+    flat = [0] * (width * width)
+    for (u, v), x in zip(grid, values):
+        flat[(u + 1) * width + v + 1] = x
+    offsets = []
     for chosen in itertools.product((True, False), repeat=len(blocks)):
         step = [0, 0, 0]  # from the label to the source's label
         for i, b in enumerate(blocks):
             step[b - 1] -= chosen[i]
             step[blocks[i - 1] - 1] += chosen[i]
-        patterns.append((chosen, step[0], step[1]))
+        offsets.append(step[0] * width + step[1])
+    sizes = [n.size(b) for b in blocks]
+    denominator = scale * math.prod(sizes)
     entries = []
     for u, v in grid:
-        counts = [(u, v, k - u - v)[b - 1] for b in blocks]
+        x = (u, v, k - u - v)
+        pairs = [(x[b - 1], size - x[b - 1]) for b, size in zip(blocks, sizes)]
+        here = (u + 1) * width + v + 1
         total = 0
-        for chosen, du, dv in patterns:
-            source = scaled.get((u + du, v + dv))
+        for weight, offset in zip(map(math.prod, itertools.product(*pairs)), offsets):
+            source = flat[here + offset]
             if source:
-                weight = 1
-                for c, x, size in zip(chosen, counts, sizes):
-                    weight *= x if c else size - x
                 total += weight * source
-        entries.append(Fraction(total, scale * math.prod(sizes)))
+        entries.append(Fraction(total, denominator))
     return CoeffTable._from_grid(n, k, grid, entries)
 
 
@@ -154,11 +164,16 @@ class InvariantExpansion:
         return iter(self._coeffs.items())
 
     def as_table(self) -> CoeffTable:
-        entries: dict[tuple[int, int], Fraction] = {}
-        for m, c in self._coeffs.items():
-            for uv, value in psi_table(HahnContext(self._n, self._k, m)).items():
-                entries[uv] = entries.get(uv, ZERO) + c * value
-        return CoeffTable(self._n, self._k, entries)
+        """The combination of the psi columns, summed in integers over one denominator."""
+        n, k = self._n, self._k
+        grid = admissible_grid(n, k)
+        coeffs, common = linalg.over_common_denominator(self._coeffs.values())
+        totals = [0] * len(grid)
+        for m, c in zip(self._coeffs, coeffs):
+            if c:
+                column = _psi_values(HahnContext(n, k, m), grid)
+                totals = [total + c * x for total, x in zip(totals, column)]
+        return CoeffTable._from_grid(n, k, grid, (Fraction(x, common) for x in totals))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, InvariantExpansion):
@@ -196,15 +211,22 @@ def expand_in_psi_basis(table: CoeffTable) -> InvariantExpansion:
     grid = table.labels()
     values, scale = linalg.over_common_denominator(x for _, x in table.items())
     columns = [_psi_values(HahnContext(n, k, m), grid) for m in indices]
-    coords = []  # the table times scale is sum_j coords[j] columns[j]
+    # The table times scale is sum_j coords[j] columns[j] / common, with
+    # common growing by the part of each pivot the residual leaves.
+    coords, common = [], 1
     for m, column in zip(indices, columns):
         a = grid.index((m, 0))
-        below = sum(c * col[a] for c, col in zip(coords, columns))
-        coords.append((values[a] - below) / Fraction(column[a]))
-    numerators, common = linalg.over_common_denominator(coords)
+        residual = values[a] * common - sum(c * col[a] for c, col in zip(coords, columns))
+        pivot = column[a]
+        g = math.gcd(residual, pivot)
+        coords = [c * (pivot // g) for c in coords]
+        coords.append(residual // g)
+        common *= pivot // g
+    g = math.gcd(common, *coords)
+    coords, common = [c // g for c in coords], common // g
     for row, y in zip(zip(*columns), values):
-        if sum(map(operator.mul, numerators, row)) != y * common:
+        if sum(map(operator.mul, coords, row)) != y * common:
             raise ValueError("inconsistent linear system")
     return InvariantExpansion(
-        n, k, {m: Fraction(x, common * scale) for m, x in zip(indices, numerators)}
+        n, k, {m: Fraction(x, common * scale) for m, x in zip(indices, coords)}
     )

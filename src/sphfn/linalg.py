@@ -5,19 +5,20 @@ elimination is fraction-free Gauss-Jordan (after Bareiss, Math. Comp. 22,
 1968, but keeping entries small by the gcd of each row rather than by exact
 division by the previous pivot): each row is scaled to integers once, a row
 of ints taken as it is; a row is cleared by p * row - q * pivot_row and
-divided by the gcd of its entries, and the pivot rows are divided by their
-pivots only at the end. One integer core, _eliminate, serves both routines:
-nullspace divides only its kernel's nonzero entries, and solve only the
-right-hand column. The reduced row echelon form is unique, so the Fractions
-returned are exactly those of plain Gauss-Jordan elimination over Fraction.
+divided by the gcd of its entries. One integer core, _eliminate, serves both
+routines. nullspace never leaves the integers: it puts its kernel over the
+lcm of the pivots and divides everything by the gcd of the entries, so the
+scale is the least common denominator of the kernel of plain Gauss-Jordan
+elimination over Fraction. solve divides only the right-hand column by the
+pivots. The reduced row echelon form is unique, so both results are exactly
+those of elimination over Fraction.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence
-
-Matrix = list[list[Fraction]]
 
 __all__ = ["nullspace", "solve", "over_common_denominator"]
 
@@ -77,11 +78,14 @@ def _eliminate(matrix: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
     return m, pivots
 
 
-def nullspace(matrix: Sequence[Sequence], ncols: int | None = None) -> Matrix:
-    """A basis of the right kernel, one vector per free column.
+def nullspace(matrix: Sequence[Sequence], ncols: int | None = None) -> tuple[list[list[int]], int]:
+    """A basis of the right kernel in integers: rows and one positive scale.
 
-    Each basis vector has a 1 in its free column and 0 in the other free
-    columns, so the result is unique given the column order.
+    Kernel vector i is rows[i] / scale, one per free column. Each row holds
+    the scale in its own free column and 0 in the other free columns, so the
+    result is unique given the column order, and the scale is the least
+    that makes every entry an integer: the gcd of the scale and all the
+    entries is 1. An empty kernel is no rows over the scale 1.
     """
     if ncols is None:
         if not matrix:
@@ -90,15 +94,22 @@ def nullspace(matrix: Sequence[Sequence], ncols: int | None = None) -> Matrix:
     _check_row_lengths(matrix, ncols)
     m, pivots = _eliminate(matrix)
     free = [c for c in range(ncols) if c not in pivots]
-    basis: Matrix = []
+    # Pivot row r over its pivot is row r of the reduced form; over the lcm
+    # of the pivots, it is row r times factors[r].
+    scale = math.lcm(*(m[r][c] for r, c in enumerate(pivots)))
+    factors = [scale // m[r][c] for r, c in enumerate(pivots)]
+    rows = []
     for f in free:
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
+        row = [0] * ncols
+        row[f] = scale
         for r, c in enumerate(pivots):
             if m[r][f]:
-                vec[c] = Fraction(-m[r][f], m[r][c])
-        basis.append(vec)
-    return basis
+                row[c] = -m[r][f] * factors[r]
+        rows.append(row)
+    g = math.gcd(scale, *itertools.chain.from_iterable(rows))
+    if g > 1:
+        rows = [[x // g for x in row] for row in rows]
+    return rows, scale // g
 
 
 def solve(matrix: Sequence[Sequence], rhs: Sequence) -> list[Fraction]:

@@ -34,8 +34,8 @@ The caches; no value depends on what they hold:
 * _orbit_frame, bounded (the 512 most recent (n, k)), keyed by (n, k): the
   module oracle's orbit frame, its labels, the orbit of every k-subset
   (four bytes a subset), orbit sizes and distinct divergence rows, and the
-  invariant basis, the nullspace of those rows scaled to integers once,
-  shared by the five cycles of one (n, k), invariants_in_Vk and
+  invariant basis, the integer kernel of those rows as linalg.nullspace
+  returns it, shared by the five cycles of one (n, k), invariants_in_Vk and
   coeff_table_from_invariant.
 
 A call of the module oracle counts how g moves subsets between orbits and
@@ -416,9 +416,9 @@ def _orbit_frame(n: BlockTriple, k: int) -> _OrbitFrame:
     same label codes. It is counted point by point, not written from the
     coefficients n_b - y_b of the label recurrence, so the basis, the kernel
     of the distinct rows from linalg.nullspace, stays independent of the
-    difference-equation code that it is checked against; it is kept scaled
-    to integers over one scale. At k = 0 there is no (k-1)-subset and the
-    kernel is the one constant table.
+    difference-equation code that it is checked against; it is kept as
+    nullspace returns it, integer rows over one scale, never a Fraction. At
+    k = 0 there is no (k-1)-subset and the kernel is the one constant table.
     """
     labels = tuple(admissible_grid(n, k))
     base = k + 1
@@ -439,9 +439,8 @@ def _orbit_frame(n: BlockTriple, k: int) -> _OrbitFrame:
                 row[index[code + point_code]] += 1
         rows.append(tuple(row))
     divergence = tuple(sorted(set(rows)))
-    kernel = linalg.nullspace(divergence, ncols=len(labels))
-    flat, scale = linalg.over_common_denominator(itertools.chain.from_iterable(kernel))
-    basis = tuple(zip(*[iter(flat)] * len(labels))), scale
+    kernel, scale = linalg.nullspace(divergence, ncols=len(labels))
+    basis = tuple(map(tuple, kernel)), scale
     return _OrbitFrame(labels, index, orbit, sizes, math.lcm(*sizes), divergence, basis)
 
 

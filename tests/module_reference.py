@@ -9,6 +9,7 @@ nothing with the orbit frame that the package's own vectors come from.
 """
 import itertools
 from collections import defaultdict
+from fractions import Fraction
 
 from sphfn import linalg
 from sphfn.hahn import CoeffTable
@@ -51,7 +52,8 @@ def raw_rows(N, k):
 def raw_kernel(N, k):
     """The columns and kernel vectors of the raw divergence system of V_k."""
     columns, rows = raw_rows(N, k)
-    return columns, linalg.nullspace(rows, ncols=len(columns))
+    kernel, scale = linalg.nullspace(rows, ncols=len(columns))
+    return columns, [[Fraction(x, scale) for x in vec] for vec in kernel]
 
 
 def vector(N, k, coords):

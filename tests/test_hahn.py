@@ -81,6 +81,37 @@ class TestHahnE:
         with pytest.raises(ValueError):
             hahn_E(-1, 1, 1, 1, 1)
 
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            ((3, 5, 4, 2.5, 0.1), "gamma must be an int or a Fraction, got 2.5"),
+            ((3, 5, 4, Fraction(5, 2), 0.1), "t must be an int or a Fraction, got 0.1"),
+            ((True, 1, 1, 1, 1), "m must be an int, got True"),
+            ((1.0, 1, 1, 1, 1), "m must be an int, got 1.0"),
+            ((1, 2.0, 1, 1, 1), "alpha must be an int, got 2.0"),
+            ((1, 1, Fraction(1), 1, 1), "beta must be an int, got Fraction(1, 1)"),
+            ((1, 1, 1, True, 1), "gamma must be an int or a Fraction, got True"),
+            ((1, 1, 1, 1, False), "t must be an int or a Fraction, got False"),
+        ],
+    )
+    def test_rejects_inexact_and_bool_arguments(self, args, message):
+        """A float would be summed in floating point and returned rounded as
+        an exact Fraction; a bool is not an int here."""
+        with pytest.raises(ValueError) as info:
+            hahn_E(*args)
+        assert str(info.value) == message
+
+    def test_exact_value_at_fraction_arguments(self):
+        assert hahn_E(3, 5, 4, Fraction(5, 2), Fraction(1, 10)) == Fraction(-1017, 25)
+
+    def test_psi_factors_reject_floats(self):
+        ctx = HahnContext(BlockTriple(3, 3, 3), 3, 1)
+        with pytest.raises(ValueError, match="^t must be an int or a Fraction, got 1.5$"):
+            psi1(ctx, 1.5)
+        with pytest.raises(ValueError, match="^gamma must be an int or a Fraction, got 1.5$"):
+            psi2(ctx, 1, 0.5)
+        assert psi1(ctx, Fraction(3, 2)) == reference_hahn_E(2, 3, 4, 2, Fraction(3, 2))
+
 
 class TestContext:
     def test_rejects_out_of_range_m(self):
@@ -262,7 +293,7 @@ class TestPsiTable:
                 psi_table(HahnContext(n, k, m)) for m in range(m_lower, m_upper + 1)
             ]
             matrix = [[t.get(u, v) for t in tables] for (u, v) in grid]
-            assert len(tables) == multiplicity(n, k) and linalg.nullspace(matrix) == []
+            assert len(tables) == multiplicity(n, k) and linalg.nullspace(matrix) == ([], 1)
 
     def test_entries_are_fractions_as_the_checked_constructor_builds(self):
         for ctx in contexts(4):

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -122,6 +124,11 @@ def test_solve_matches_fraction_gauss_jordan():
     assert len(outcomes) == 3 and min(outcomes.values()) >= 50, outcomes
 
 
+def over_scale(rows, scale):
+    """nullspace's integer rows divided by its scale, as Fraction vectors."""
+    return [[Fraction(x, scale) for x in row] for row in rows]
+
+
 def reference_kernel(matrix, ncols):
     """The kernel read off the Fraction Gauss-Jordan reference: one vector
     per free column, 1 there and minus that column of the pivot rows."""
@@ -156,21 +163,37 @@ def test_nullspace_matches_fraction_gauss_jordan():
         for _ in range(rng.randint(0, 6)):
             weights = [rng.randint(-2, 2) for _ in spanning]
             matrix.append([sum(w * row[c] for w, row in zip(weights, spanning)) for c in range(ncols)])
-        kernel = linalg.nullspace(matrix, ncols=ncols)
-        assert kernel == reference_kernel(matrix, ncols), matrix
-        assert all(type(x) is Fraction for vec in kernel for x in vec)
+        rows, scale = linalg.nullspace(matrix, ncols=ncols)
+        assert over_scale(rows, scale) == reference_kernel(matrix, ncols), matrix
+        assert all(type(x) is int for row in rows for x in row) and type(scale) is int
         shapes["no rows"] += not matrix
         shapes["zero row"] += any(not any(row) for row in matrix)
-        shapes["rank deficient"] += ncols - len(kernel) < min(len(matrix), ncols)
+        shapes["rank deficient"] += ncols - len(rows) < min(len(matrix), ncols)
     assert min(shapes.values()) >= 50, shapes
 
 
 @given(rational_matrices())
 def test_nullspace_matches_fraction_gauss_jordan_on_mixed_rows(m):
     """Rows of ints and Fractions mixed, with repeated, rescaled and zero rows."""
-    kernel = linalg.nullspace(m)
-    assert kernel == reference_kernel(m, len(m[0]))
-    assert all(type(x) is Fraction for vec in kernel for x in vec)
+    rows, scale = linalg.nullspace(m)
+    assert over_scale(rows, scale) == reference_kernel(m, len(m[0]))
+    assert all(type(x) is int for row in rows for x in row) and type(scale) is int
+
+
+@given(rational_matrices())
+def test_nullspace_rows_are_primitive_over_the_least_scale(m):
+    """Row i holds the scale at free column i and 0 at the other free
+    columns; the scale is positive and shares no factor with every entry,
+    so it is the lcm of the denominators of the Fraction kernel."""
+    ncols = len(m[0])
+    rows, scale = linalg.nullspace(m)
+    free = [c for c in range(ncols) if c not in gauss_jordan_reference(m)[1]]
+    assert len(rows) == len(free)
+    assert scale > 0 and math.gcd(scale, *itertools.chain.from_iterable(rows)) == 1
+    for i, row in enumerate(rows):
+        assert [row[f] for f in free] == [scale if j == i else 0 for j in range(len(free))]
+    kernel = reference_kernel(m, ncols)
+    assert scale == math.lcm(*(x.denominator for vec in kernel for x in vec))
 
 
 @pytest.mark.parametrize(
@@ -193,17 +216,25 @@ def test_over_common_denominator(values, expected):
 
 
 def test_nullspace_known():
-    """A repeated row leaves one free column, and its kernel vector has a 1
-    there."""
-    kernel = linalg.nullspace([[Fraction(2), Fraction(4)], [Fraction(1), Fraction(2)]])
-    assert kernel == [[Fraction(-2), Fraction(1)]]
-    assert all(type(x) is Fraction for x in kernel[0])
+    """A repeated row leaves one free column, and its kernel row holds the
+    scale, here 1, there."""
+    rows, scale = linalg.nullspace([[Fraction(2), Fraction(4)], [Fraction(1), Fraction(2)]])
+    assert (rows, scale) == ([[-2, 1]], 1)
+    assert all(type(x) is int for x in rows[0])
+
+
+def test_nullspace_known_scale():
+    """A kernel vector (-1/2, 1) comes back as the row (-1, 2) over 2, and
+    the pivot's sign does not reach the scale."""
+    assert linalg.nullspace([[2, 1]]) == ([[-1, 2]], 2)
+    assert linalg.nullspace([[-2, 1]]) == ([[1, 2]], 2)
+    assert linalg.nullspace([[1, 0], [0, 3]]) == ([], 1)
 
 
 @given(matrix_strategy())
 def test_rank_nullity(m):
     ncols = len(m[0])
-    kernel = linalg.nullspace(m)
+    kernel, _ = linalg.nullspace(m)
     assert len(gauss_jordan_reference(m)[1]) + len(kernel) == ncols
     for vec in kernel:
         for row in m:
@@ -243,8 +274,9 @@ def test_solve_rejects_mismatched_rhs(matrix, rhs):
 def test_nullspace_empty_matrix_needs_ncols():
     with pytest.raises(ValueError):
         linalg.nullspace([])
-    basis = linalg.nullspace([], ncols=2)
+    basis, scale = linalg.nullspace([], ncols=2)
     assert len(basis) == 2
+    assert (basis, scale) == ([[1, 0], [0, 1]], 1)
 
 
 @pytest.mark.parametrize(

@@ -54,6 +54,7 @@ from module_reference import (
     vector,
     zero_vector,
 )
+from test_linalg import reference_kernel
 
 CYCLES = [(1,), (1, 2), (1, 3), (2, 3), (1, 2, 3)]
 PAIRS = [(1, 2), (1, 3), (2, 3)]
@@ -101,9 +102,9 @@ def reference_invariant_tables(n, k):
         if key not in seen:  # repeated subsets give literally equal equations
             seen.add(key)
             rows.append(row)
-    kernel = linalg.nullspace(rows, ncols=len(labels))
+    kernel, scale = linalg.nullspace(rows, ncols=len(labels))
     return tuple(
-        CoeffTable(n, k, {uv: value for uv, value in zip(labels, vec)})
+        CoeffTable(n, k, {uv: Fraction(x, scale) for uv, x in zip(labels, vec)})
         for vec in kernel
     )
 
@@ -581,10 +582,9 @@ class TestVkVector:
             k = rng.randint(0, N // 2)
             columns, rows = raw_rows(N, k)
             free = [0] * len(columns)
-            for kernel_vector in linalg.nullspace(rows, ncols=len(columns)):
+            for kernel_vector in linalg.nullspace(rows, ncols=len(columns))[0]:
                 weight = rng.randint(-3, 3)
                 free = [x + weight * y for x, y in zip(free, kernel_vector)]
-            free, _ = linalg.over_common_denominator(free)
             bumped = list(free)
             bumped[rng.randrange(len(columns))] += rng.choice([-2, -1, 1, 2])
             arbitrary = [rng.choice([0, 0, rng.randint(-4, 4)]) for _ in columns]
@@ -641,7 +641,7 @@ class TestBasis:
         vectors = basis(5, 2)
         subsets = list(itertools.combinations(range(1, 6), 2))
         matrix = [[vec.coord(subset) for vec in vectors] for subset in subsets]
-        assert len(vectors) == 5 and linalg.nullspace(matrix) == []
+        assert len(vectors) == 5 and linalg.nullspace(matrix) == ([], 1)
 
     @pytest.mark.parametrize("N", [4, 5])
     def test_action_trace_is_two_row_character(self, N):
@@ -701,7 +701,7 @@ class TestInvariants:
                 table = coeff_table_from_invariant(projected, n)
                 assert all(table.get(*uv) == x for uv, x in mean.items()), (n, k)
             by_column = [list(row) for row in zip(*means)]
-            rank = len(means) - len(linalg.nullspace(by_column, ncols=len(means)))
+            rank = len(means) - len(linalg.nullspace(by_column, ncols=len(means))[0])
             assert rank == len(vectors) == multiplicity(n, k), (n, k)
 
     def test_tables_satisfy_difference_equation(self):
@@ -1002,6 +1002,22 @@ class TestModuleOracle:
                 assert basis_tables(n, k) == expected, (n, k)
                 compared += 1
         assert compared == 288
+
+    def test_basis_matches_the_fraction_kernel_at_blocks_le_6(self):
+        """The frame's integer basis, rows and scale, against the path that
+        linalg.nullspace's integer kernel replaced, at every (n, k) with
+        blocks <= 6: the Fraction Gauss-Jordan kernel of the frame's
+        divergence rows, scaled to integers by the lcm of its denominators."""
+        compared = 0
+        for n in small_triples(6):
+            for k in range(n.N // 2 + 1):
+                frame = oracle._orbit_frame(n, k)
+                kernel = reference_kernel(frame.divergence, len(frame.labels))
+                flat, scale = linalg.over_common_denominator(itertools.chain.from_iterable(kernel))
+                rows = tuple(zip(*[iter(flat)] * len(frame.labels)))
+                assert frame.basis == (rows, scale), (n, k)
+                compared += 1
+        assert compared == 1296
 
     def test_basis_cache_is_bounded(self):
         n = BlockTriple(2, 1, 1)
