@@ -10,7 +10,7 @@ import functools
 import math
 from collections import Counter
 
-from .core import BlockTriple, Partition, check_N, check_k
+from .core import BlockTriple, Partition, check_int, check_N, check_k
 
 __all__ = [
     "mn_character",
@@ -103,6 +103,15 @@ def m_range(n: BlockTriple, k: int) -> tuple[int, int]:
     n1, n2, n3 = n.n1, n.n2, n.n3
     check_k(n1 + n2 + n3, k)
     return max(0, k - n3), min(n1, n2, k, n1 + n2 - k)
+
+
+def check_m(n: BlockTriple, k: int, m: int) -> None:
+    """Reject k as m_range does, then a label m that is not an int (a bool is
+    not) or lies outside m_range(n, k)."""
+    m_lower, m_upper = m_range(n, k)
+    check_int("m", m)
+    if not m_lower <= m <= m_upper:
+        raise ValueError(f"m = {m} outside [{m_lower}, {m_upper}] for n = {n.sizes}, k = {k}")
 
 
 def _range_count(m_lower: int, m_upper: int) -> int:

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .characters import m_range, multiplicity
-from .core import BlockTriple, check_k, check_sizes, cycle_blocks, pair_blocks
+from .characters import check_m, m_range, multiplicity
+from .core import BlockTriple, check_int, check_k, check_sizes, cycle_blocks, pair_blocks
 
 __all__ = [
     "SphericalQuery",
@@ -93,7 +93,13 @@ def _two_cycle_ratio(na: int, nb: int, nc: int, k: int) -> tuple[int, int]:
 
 
 def zeta(n: BlockTriple, k: int, m: int) -> int:
-    """Numerator of the diagonal 3-cycle entry before boundary correction."""
+    """Numerator of the diagonal 3-cycle entry before boundary correction.
+
+    k must pass core.check_k and m must be an int; as a polynomial in m,
+    zeta takes any int m.
+    """
+    check_k(n.N, k)
+    check_int("m", m)
     n1, n2, n3 = n.sizes
     return (
         m * m * (3 * k - 2 * m)
@@ -108,7 +114,11 @@ def xi(n: BlockTriple, k: int, m: int) -> Fraction:
     The generic formula divides by n1 + n2 - 2m, which vanishes only when
     m = n1 = n2; there the pole cancels against n1 n2 - m^2 and the reduced
     product applies. Any other zero denominator would mean a caller bug.
+    k must pass core.check_k and m must be an int. An m outside m_range is
+    taken: the telescoped sum reads xi at m_L - 1, and xi vanishes at m = k.
     """
+    check_k(n.N, k)
+    check_int("m", m)
     return Fraction(*_xi_ratio(n, k, m))
 
 
@@ -126,41 +136,16 @@ def _xi_ratio(n: BlockTriple, k: int, m: int) -> tuple[int, int]:
 
 
 def g3_diagonal_coeff(n: BlockTriple, k: int, m: int) -> Fraction:
-    """Diagonal entry of the averaged 3-cycle action on the m-th basis vector."""
+    """Diagonal entry of the averaged 3-cycle action on the m-th basis vector.
+
+    There is a basis vector for each m in m_range(n, k) only; any other m
+    raises ValueError, as HahnContext does.
+    """
+    check_m(n, k, m)
     n1, n2, n3 = n.sizes
     return Fraction(1, n1 * n2 * n3) * (
         zeta(n, k, m) - xi(n, k, m) + xi(n, k, m - 1)
     )
-
-
-def _phi_3cycle_redundant(
-    n: BlockTriple, k: int, m_lower: int, m_upper: int, xn: int, xd: int
-) -> tuple[int, int]:
-    """Independent regrouping of the 3-cycle sum, kept as a cross-check.
-
-    Takes the range (m_lower, m_upper) = m_range(n, k), nonempty, and
-    xi(m_U) = xn / xd with xd > 0, as _phi_3cycle_ratio works them out. All
-    of the bracket but its last term, xi(m_U) / (mu + 1), is summed over the
-    integers as 6 times its value, in terms of nu = m_L, delta = k - m_U and
-    mu = m_U - m_L rather than power sums of m. Returns the unreduced pair
-    ((mu + 1) bracket6 xd - 6 xn, 6 n1 n2 n3 xd).
-    """
-    n1, n2, n3 = n.sizes
-    N = n1 + n2 + n3
-    nu = m_lower
-    delta = k - m_upper
-    mu = m_upper - m_lower
-    s2 = n1 * n2 + n1 * n3 + n2 * n3
-    bracket6 = (
-        N * mu * (mu - 1)
-        + 3 * N * (mu * nu + mu * delta + 2 * nu * delta)
-        - 3 * (mu + 2 * nu) * s2
-        + 6 * n1 * n2 * n3
-        + 3 * mu * nu * (nu - 1)
-        + 6 * (nu - delta) * (n1 * n2 + nu * delta)
-        - 3 * mu * delta * (delta - 1)
-    )
-    return (mu + 1) * bracket6 * xd - 6 * xn, 6 * n1 * n2 * n3 * xd
 
 
 def _power_sums(lower: int, upper: int) -> tuple[int, int, int, int]:
@@ -185,21 +170,18 @@ def phi_3cycle(n: BlockTriple, k: int) -> Fraction:
 
     The sum of the diagonal entries telescopes: all xi terms cancel except at
     the top of the range. The zeta terms, a cubic in m, are summed in O(1)
-    through the power sums of m over the range. The result is checked on
-    every call against a second, differently grouped expression of the same
-    sum; see _phi_3cycle_ratio.
+    through the power sums of m over the range; see _phi_3cycle_ratio.
     """
     return Fraction(*_phi_3cycle_ratio(n, k, *m_range(n, k)))
 
 
 def _phi_3cycle_ratio(n: BlockTriple, k: int, m_lower: int, m_upper: int) -> tuple[int, int]:
-    """phi_3cycle as an unreduced pair (num, den) with den > 0, self-checked.
+    """phi_3cycle as an unreduced pair (num, den) with den > 0.
 
     The caller passes (m_lower, m_upper) = m_range(n, k), which has checked
-    k. xi(m_U) is worked out once, here, and handed with the range to
-    _phi_3cycle_redundant; the two integer pairs are compared by
-    cross-multiplication on every call, and Fractions are built only to word
-    a disagreement.
+    k. The pair is (total xd - xn, n1 n2 n3 xd), with total the zeta sum and
+    xi(m_U) = xn / xd. The tests prove it equal, at every input, to a second
+    grouping of the same sum in terms of m_L, k - m_U and m_U - m_L.
     """
     if m_lower > m_upper:
         return 0, 1
@@ -211,14 +193,7 @@ def _phi_3cycle_ratio(n: BlockTriple, k: int, m_lower: int, m_upper: int) -> tup
     s0, s1, s2, s3 = _power_sums(m_lower, m_upper)
     total = -2 * s3 + (3 * k - N) * s2 + c1 * s1 + c0 * s0
     xn, xd = _xi_ratio(n, k, m_upper)
-    num, den = total * xd - xn, n1 * n2 * n3 * xd
-    rnum, rden = _phi_3cycle_redundant(n, k, m_lower, m_upper, xn, xd)
-    if num * rden != rnum * den:
-        raise AssertionError(
-            f"3-cycle regroupings disagree for n = {n.sizes}, k = {k}: "
-            f"{Fraction(num, den)} vs {Fraction(rnum, rden)}"
-        )
-    return num, den
+    return total * xd - xn, n1 * n2 * n3 * xd
 
 
 def phi_special(n: BlockTriple, k: int, cycle: tuple[int, ...] = (1, 2, 3)) -> Optional[Fraction]:

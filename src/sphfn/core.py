@@ -8,12 +8,17 @@ sizes n_j >= 1 (check_sizes), an int point count N >= 0 where a caller gives
 N itself (check_N), a two-row shape [N - k, k] with an int k,
 0 <= 2k <= N (check_k), a pair of distinct blocks (pair_blocks), a cycle
 through a nonempty set of blocks (cycle_blocks), an int size bound for the
-brute-force oracles and sweeps (check_bound) and an int index argument of
-the arithmetic helpers (check_int). Other modules call these rather than
-restate a rule. Two places word a rule again: the CLI words the cycle rule,
-to quote its input, and eigsum.DegreeTriple words the int rule as one
-message naming all three degrees ("degrees must be ints, got ..."), which
-its tests pin.
+brute-force oracles and sweeps (check_bound), an int index argument such as
+a multiplicity label m (check_int) and an exact scalar, an int or a
+Fraction (check_rational), so that a float is never taken as the exact
+value it rounds to. A bool passes none of these rules. Other modules call
+these rather than restate a rule; the one rule that needs the multiplicity
+range, m_L <= m <= m_U, is characters.check_m. Two places word a rule
+again: the CLI words the cycle rule, to quote its input, and
+eigsum.DegreeTriple words the int rule as one message naming all three
+degrees ("degrees must be ints, got ..."), which its tests pin. One input
+takes more than its rule: DegreeTriple also takes kappa as a string, which
+Fraction parses exactly.
 """
 from __future__ import annotations
 
@@ -27,9 +32,7 @@ __all__ = [
     "Partition",
     "BlockTriple",
     "Permutation",
-    "pochhammer",
     "binom",
-    "complete_homogeneous",
     "cycle_type",
     "compose",
     "young_subgroup_elements",
@@ -64,6 +67,12 @@ def check_int(name: str, value: int) -> None:
     """Reject an index argument that is not an int (a bool is not)."""
     if type(value) is not int:
         raise ValueError(f"{name} must be an int, got {value!r}")
+
+
+def check_rational(name: str, value) -> None:
+    """Reject a value that is neither an int nor a Fraction (a bool is neither)."""
+    if type(value) is not int and not isinstance(value, Fraction):
+        raise ValueError(f"{name} must be an int or a Fraction, got {value!r}")
 
 
 def check_bound(bound: int) -> None:
@@ -282,20 +291,6 @@ def cycle_type(p: Permutation) -> Partition:
     return Partition(lengths)
 
 
-def pochhammer(a, j: int):
-    """Rising factorial a(a+1)...(a+j-1); the empty product (j=0) is 1.
-
-    a may be an int or a Fraction; j is an int >= 0.
-    """
-    check_int("j", j)
-    if j < 0:
-        raise ValueError(f"need j >= 0, got {j}")
-    result = a - a + 1  # 1 in the arithmetic type of a
-    for i in range(j):
-        result *= a + i
-    return result
-
-
 def binom(n: int, k: int) -> int:
     """Binomial coefficient of ints n and k, 0 outside the range 0 <= k <= n."""
     check_int("n", n)
@@ -303,22 +298,6 @@ def binom(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
     return math.comb(n, k)
-
-
-def complete_homogeneous(values: Sequence, degree: int):
-    """h_degree(values): the sum of all monomials of the given total degree.
-
-    Computed through the generating function 1 / prod(1 - c_i t), one value at
-    a time; exact for int and Fraction inputs. The degree is an int >= 0.
-    """
-    check_int("degree", degree)
-    if degree < 0:
-        raise ValueError(f"need degree >= 0, got {degree}")
-    h = [1] + [0] * degree
-    for c in values:
-        for j in range(1, degree + 1):
-            h[j] += c * h[j - 1]
-    return h[degree]
 
 
 def young_subgroup_elements(n: BlockTriple) -> Iterator[Permutation]:

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .characters import _range_count, dim_two_row, m_range, multiplicity
 from .closed_form import SphericalQuery, _phi_3cycle_ratio, _two_cycle_ratio, phi_closed_form
-from .core import BlockTriple, check_int
+from .core import BlockTriple, check_int, check_rational
 
 __all__ = [
     "DegreeTriple",
@@ -47,7 +47,11 @@ def _factorial(size: int) -> int:
 
 @dataclass(frozen=True)
 class DegreeTriple:
-    """Strictly decreasing nonnegative int degrees per block plus the coupling."""
+    """Strictly decreasing nonnegative int degrees per block plus the coupling.
+
+    kappa is an int, a Fraction or a string that Fraction parses exactly,
+    such as "1/3"; a float or a bool raises ValueError.
+    """
 
     d1: int
     d2: int
@@ -59,7 +63,9 @@ class DegreeTriple:
             raise ValueError(f"degrees must be ints, got {self.degrees!r}")
         if not self.d1 > self.d2 > self.d3 >= 0:
             raise ValueError(f"need d1 > d2 > d3 >= 0, got {(self.d1, self.d2, self.d3)}")
-        object.__setattr__(self, "kappa", Fraction(self.kappa))
+        kappa = Fraction(self.kappa) if isinstance(self.kappa, str) else self.kappa
+        check_rational("kappa", kappa)
+        object.__setattr__(self, "kappa", Fraction(kappa))
 
     @property
     def degrees(self) -> tuple[int, int, int]:
@@ -112,16 +118,15 @@ def eigenvalue_sum(n: BlockTriple, d: DegreeTriple, k: int, p: int) -> Fraction:
     which reduces, is built at the end. The factorials come from a bounded
     cache (_factorial). One loop builds the three pair sums h_{p-1}(a_i, a_j)
     and, from the running h_j(a1, a2), h_{p-2}(a1, a2, a3) through
-    h_j(a1, a2, a3) = h_j(a1, a2) + a3 h_{j-1}(a1, a2, a3); no
-    complete_homogeneous call is made.
+    h_j(a1, a2, a3) = h_j(a1, a2) + a3 h_{j-1}(a1, a2, a3).
 
     One m_range call checks k and gives the range that the multiplicity
     Phi_1 counts and the 3-cycle kernel sums over; dim_two_row checks k
     once more. The other Phi values come from the integer kernels that
     phi_2cycle and phi_3cycle share: _two_cycle_ratio on the sizes of each
-    pair, with the third block last, and _phi_3cycle_ratio, which keeps the
-    3-cycle self-check. eigenvalue_sum_recheck takes the other route,
-    through SphericalQuery and phi_closed_form.
+    pair, with the third block last, and _phi_3cycle_ratio.
+    eigenvalue_sum_recheck takes the other route, through SphericalQuery
+    and phi_closed_form.
     """
     _check_order(p)
     n1, n2, n3 = n.sizes

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .characters import m_range
-from .core import ZERO, BlockTriple, check_int
+from .characters import check_m
+from .core import ZERO, BlockTriple, check_int, check_rational
 
 __all__ = [
     "hahn_E",
@@ -58,12 +58,6 @@ def _hahn_sum(weights: list[int], lower: list, upper: list):
     return sum(map(operator.mul, weights, map(operator.mul, lower, reversed(upper))))
 
 
-def _check_rational(name: str, value) -> None:
-    """Reject a value that is neither an int nor a Fraction (a bool is neither)."""
-    if type(value) is not int and not isinstance(value, Fraction):
-        raise ValueError(f"{name} must be an int or a Fraction, got {value!r}")
-
-
 def hahn_E(m: int, alpha: int, beta: int, gamma, t) -> Fraction:
     """Degree-m Hahn-type polynomial E_m(alpha, beta, gamma; t).
 
@@ -77,8 +71,8 @@ def hahn_E(m: int, alpha: int, beta: int, gamma, t) -> Fraction:
     """
     for name, value in (("m", m), ("alpha", alpha), ("beta", beta)):
         check_int(name, value)
-    _check_rational("gamma", gamma)
-    _check_rational("t", t)
+    check_rational("gamma", gamma)
+    check_rational("t", t)
     weights = _hahn_weights(m, alpha, beta)
     return Fraction(_hahn_sum(weights, _rising(-t, m), _rising(t - gamma, m)))
 
@@ -100,13 +94,7 @@ class HahnContext:
 
     def __post_init__(self):
         _check_n_k(self.n, self.k)
-        check_int("m", self.m)
-        m_lower, m_upper = m_range(self.n, self.k)
-        if not m_lower <= self.m <= m_upper:
-            raise ValueError(
-                f"m = {self.m} outside [{m_lower}, {m_upper}] "
-                f"for n = {self.n.sizes}, k = {self.k}"
-            )
+        check_m(self.n, self.k, self.m)
 
 
 def _psi1_parameters(ctx: HahnContext):
@@ -154,6 +142,8 @@ class CoeffTable:
         bad = set(entries).difference(grid)
         if bad:
             raise ValueError(f"labels {sorted(bad)} outside the grid for k = {k}")
+        for value in entries.values():
+            check_rational("entry", value)
         self._n = n
         self._k = k
         # In grid order, which is sorted: labels(), items() and the hash read it as is.
@@ -188,6 +178,7 @@ class CoeffTable:
         return all(value == 0 for value in self._entries.values())
 
     def scaled(self, factor) -> "CoeffTable":
+        check_rational("factor", factor)
         factor = Fraction(factor)
         values = [factor * x for x in self._entries.values()]
         return CoeffTable._from_grid(self._n, self._k, self._entries, values)

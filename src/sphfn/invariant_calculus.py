@@ -20,7 +20,7 @@ from typing import Mapping
 
 from . import linalg
 from .characters import m_range
-from .core import ZERO, BlockTriple, pair_blocks
+from .core import ZERO, BlockTriple, check_rational, pair_blocks
 from .hahn import CoeffTable, HahnContext, _check_n_k, _psi_values, admissible_grid, psi1, psi2
 
 __all__ = [
@@ -145,6 +145,8 @@ class InvariantExpansion:
         bad = [m for m in coeffs if not m_lower <= m <= m_upper]
         if bad:
             raise ValueError(f"indices {bad} outside [{m_lower}, {m_upper}]")
+        for value in coeffs.values():
+            check_rational("coefficient", value)
         self._n = n
         self._k = k
         self._coeffs = {m: Fraction(coeffs[m]) for m in sorted(coeffs)}

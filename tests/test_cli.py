@@ -10,7 +10,6 @@ import pytest
 from click.testing import CliRunner
 
 import sphfn.cli
-import sphfn.closed_form
 import sphfn.verify
 from sphfn.cli import main, render
 from sphfn.core import BlockTriple
@@ -450,33 +449,6 @@ class TestLargeTraceSums:
             "reference": exact_text(diagnostic.reference, digit_limit),
             "agree": diagnostic.agree,
         }
-
-
-class TestSelfCheckFailure:
-    @pytest.mark.parametrize(
-        "args",
-        [
-            ["compute", "--n", "2,2,2", "--k", "1", "--cycle", "1,2,3"],
-            ["verify", "--max-block", "1", "--suite", "threecycle"],
-            ["eigsum", "--n", "2,2,2", "--k", "1", "--d", "2,1,0", "--order", "2"],
-        ],
-    )
-    def test_disagreeing_regroupings_exit_one(self, runner, monkeypatch, args):
-        """A failed 3-cycle self-check is reported as an error, not a traceback,
-        even when the regroupings differ by one unit of the redundant pair's
-        denominator."""
-        original = sphfn.closed_form._phi_3cycle_redundant
-
-        def shifted(*args):
-            num, den = original(*args)
-            return num + 1, den
-
-        monkeypatch.setattr(sphfn.closed_form, "_phi_3cycle_redundant", shifted)
-        result = runner.invoke(main, args)
-        assert result.exit_code == 1, result.output
-        assert isinstance(result.exception, SystemExit)
-        assert result.stderr.startswith("error: 3-cycle regroupings disagree")
-        assert "Traceback" not in result.output
 
 
 class TestFuzz:

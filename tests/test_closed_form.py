@@ -5,13 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import sphfn.closed_form
 from sphfn.characters import m_range, multiplicity
 from sphfn.closed_form import (
     SphericalQuery,
     _pair_sizes,
     _phi_3cycle_ratio,
-    _phi_3cycle_redundant,
     _power_sums,
     _two_cycle_ratio,
     _xi_ratio,
@@ -26,7 +24,6 @@ from sphfn.closed_form import (
     zeta,
 )
 from sphfn.core import BlockTriple, compose, embed_cycle, young_subgroup_elements
-from sphfn.eigsum import DegreeTriple, eigenvalue_sum, eigenvalue_sum_recheck
 from sphfn.invariant_calculus import g2_eigenvalue
 
 CYCLES = [(1,), (1, 2), (1, 3), (2, 3), (1, 2, 3)]
@@ -248,13 +245,68 @@ class TestThreeCycle:
             assert phi_3cycle(BlockTriple(*perm), k) == value, perm
 
 
+def redundant_ratio(n, k, m_lower, m_upper, xn, xd):
+    """The 3-cycle sum grouped a second way, as an unreduced integer pair.
+
+    Takes the range (m_lower, m_upper), nonempty, and xi(m_U) = xn / xd,
+    as _phi_3cycle_ratio works them out. All of the bracket but its last
+    term, xi(m_U) / (mu + 1), is summed over the integers as 6 times its
+    value, in terms of nu = m_L, delta = k - m_U and mu = m_U - m_L rather
+    than power sums of m. Returns ((mu + 1) bracket6 xd - 6 xn, 6 n1 n2 n3 xd).
+    """
+    n1, n2, n3 = n.sizes
+    N = n1 + n2 + n3
+    nu = m_lower
+    delta = k - m_upper
+    mu = m_upper - m_lower
+    s2 = n1 * n2 + n1 * n3 + n2 * n3
+    bracket6 = (
+        N * mu * (mu - 1)
+        + 3 * N * (mu * nu + mu * delta + 2 * nu * delta)
+        - 3 * (mu + 2 * nu) * s2
+        + 6 * n1 * n2 * n3
+        + 3 * mu * nu * (nu - 1)
+        + 6 * (nu - delta) * (n1 * n2 + nu * delta)
+        - 3 * mu * delta * (delta - 1)
+    )
+    return (mu + 1) * bracket6 * xd - 6 * xn, 6 * n1 * n2 * n3 * xd
+
+
 def redundant_pair(n, k):
     """The redundant 3-cycle regrouping's pair, fed the range and xi(m_U)."""
     m_lower, m_upper = m_range(n, k)
-    return _phi_3cycle_redundant(n, k, m_lower, m_upper, *_xi_ratio(n, k, m_upper))
+    return redundant_ratio(n, k, m_lower, m_upper, *_xi_ratio(n, k, m_upper))
 
 
 class TestIntegerKernels:
+    def test_regroupings_agree_at_every_input(self):
+        """Proof that the two 3-cycle groupings are one polynomial identity.
+
+        Cross-multiplied, the pairs of _phi_3cycle_ratio and redundant_ratio
+        differ by n1 n2 n3 xd^2 P, with P = 6 total - (mu + 1) bracket6 and
+        xi(m_U) = xn / xd; xn cancels, so P does not depend on xi. P is a
+        polynomial in the free variables (n1, n2, n3, k, m_L, m_U) (the
+        floor divisions of _power_sums are exact at every int), of degree at
+        most 1, 1, 1, 2, 4, 4 in each: n3^2 cancels in c1, k enters as k^2
+        and delta^2, and s3 and (mu + 1) bracket6 are quartic in the range
+        ends. A polynomial of degree at most d_i in its i-th variable that
+        vanishes on a product of sets of d_i + 1 points each is zero (Alon,
+        Combinatorial Nullstellensatz, Lemma 2.1). The grid below is such a
+        product, 2 * 2 * 2 * 3 * 5 * 5 = 600 points, and on it n1 n2 n3 xd
+        is nonzero, as k < m_U keeps xi's head nonzero and n1 + n2 < 2 m_U
+        keeps xd = n1 + n2 - 2 m_U from vanishing. So P is zero, and the
+        groupings agree at every input.
+        """
+        for n1, n2, n3, k, m_lower, m_upper in itertools.product(
+            (1, 2), (1, 2), (1, 2), (0, 1, 2), range(5), range(5, 10)
+        ):
+            n = BlockTriple(n1, n2, n3)
+            xn, xd = _xi_ratio(n, k, m_upper)
+            assert xd == n1 + n2 - 2 * m_upper
+            num, den = _phi_3cycle_ratio(n, k, m_lower, m_upper)
+            rnum, rden = redundant_ratio(n, k, m_lower, m_upper, xn, xd)
+            assert num * rden == rnum * den, (n, k, m_lower, m_upper)
+
     def test_redundant_regrouping_agrees_to_block_eight(self):
         for n in small_triples(8):
             for k in range(n.N // 2 + 1):
@@ -312,39 +364,6 @@ class TestIntegerKernels:
                 m_lower, m_upper = m_range(n, k)
                 for m in range(m_lower - 1, m_upper + 1):
                     assert _xi_ratio(n, k, m)[1] > 0, (n, k, m)
-
-
-class TestSelfCheckRuns:
-    """The 3-cycle self-check fails on the smallest possible disagreement."""
-
-    @pytest.fixture
-    def off_by_one_step(self, monkeypatch):
-        """Shift the redundant pair by one unit of its denominator,
-        6 n1 n2 n3 xd: the smallest change its value can make."""
-        original = _phi_3cycle_redundant
-
-        def shifted(n, k, m_lower, m_upper, xn, xd):
-            num, den = original(n, k, m_lower, m_upper, xn, xd)
-            assert den == 6 * n.n1 * n.n2 * n.n3 * xd
-            return num + 1, den
-
-        monkeypatch.setattr(sphfn.closed_form, "_phi_3cycle_redundant", shifted)
-
-    @pytest.mark.parametrize("sizes,k", [((2, 2, 2), 1), ((3, 1, 2), 2), ((7, 5, 4), 5)])
-    def test_phi_3cycle_raises(self, off_by_one_step, sizes, k):
-        with pytest.raises(AssertionError, match="^3-cycle regroupings disagree"):
-            phi_3cycle(BlockTriple(*sizes), k)
-
-    @pytest.mark.parametrize("p", [2, 3, 5])
-    def test_eigenvalue_sum_raises_from_order_two(self, off_by_one_step, p):
-        d = DegreeTriple(3, 1, 0, Fraction(-1, 2))
-        with pytest.raises(AssertionError, match="^3-cycle regroupings disagree"):
-            eigenvalue_sum(BlockTriple(3, 1, 2), d, 2, p)
-
-    def test_eigenvalue_sum_skips_the_3_cycle_at_order_one(self, off_by_one_step):
-        """At p = 1 the expansion has no 3-cycle term, so nothing is checked."""
-        n, d = BlockTriple(3, 1, 2), DegreeTriple(3, 1, 0, Fraction(-1, 2))
-        assert eigenvalue_sum(n, d, 2, 1) == eigenvalue_sum_recheck(n, d, 2, 1)
 
 
 class TestSpecialValues:

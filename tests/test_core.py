@@ -9,15 +9,18 @@ from hypothesis import strategies as st
 from sphfn.characters import dim_two_row, m_range, multiplicity, two_row
 from sphfn.closed_form import (
     SphericalQuery,
+    g3_diagonal_coeff,
     phi_2cycle,
     phi_2cycle_two_factor,
     phi_3cycle,
     phi_identity,
     phi_special,
+    xi,
+    zeta,
 )
 from sphfn.eigsum import DegreeTriple, eigenvalue_sum
 from sphfn.hahn import CoeffTable, HahnContext
-from sphfn.invariant_calculus import apply_rho_g2
+from sphfn.invariant_calculus import InvariantExpansion, apply_rho_g2
 from sphfn.oracle import (
     coeff_table_from_invariant,
     invariants_in_Vk,
@@ -30,15 +33,15 @@ from sphfn.core import (
     Partition,
     Permutation,
     binom,
-    complete_homogeneous,
     compose,
     cycle_type,
     embed_cycle,
     partitions,
-    pochhammer,
     young_subgroup_elements,
 )
 from sphfn.verify import SUITES, run_suite
+
+from arithmetic_reference import complete_homogeneous, pochhammer
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=20
@@ -247,6 +250,9 @@ def _k_rule_cases(k, message: str) -> list:
         "phi_2cycle": lambda: phi_2cycle(TINY, k),
         "phi_3cycle": lambda: phi_3cycle(TINY, k),
         "phi_special": lambda: phi_special(TINY, k),
+        "zeta": lambda: zeta(TINY, k, 0),
+        "xi": lambda: xi(TINY, k, 0),
+        "g3_diagonal_coeff": lambda: g3_diagonal_coeff(TINY, k, 0),
         "eigenvalue_sum": lambda: eigenvalue_sum(TINY, degrees, k, 1),
         "phi_character_oracle": lambda: phi_character_oracle(TINY, k, identity),
         "two_factor_character_oracle": lambda: two_factor_character_oracle(1, 2, k),
@@ -338,17 +344,36 @@ RULE_CASES = (
                      "n must be a BlockTriple, got (1, 1, 1)", id="invariants_in_Vk-n"),
         pytest.param(lambda: coeff_table_from_invariant(invariants_in_Vk(TINY, 1)[0], (1, 1, 1)),
                      "n must be a BlockTriple, got (1, 1, 1)", id="coeff_table_from_invariant-n"),
-        # The arithmetic helpers' index arguments are ints; a bool is not one.
-        pytest.param(lambda: complete_homogeneous([1, 2], True), "degree must be an int, got True",
-                     id="complete_homogeneous-degree=True"),
-        pytest.param(lambda: complete_homogeneous([1, 2], 1.0), "degree must be an int, got 1.0",
-                     id="complete_homogeneous-degree=1.0"),
-        pytest.param(lambda: complete_homogeneous([1, 2], -1), "need degree >= 0, got -1",
-                     id="complete_homogeneous-degree=-1"),
-        pytest.param(lambda: pochhammer(3, True), "j must be an int, got True", id="pochhammer-j=True"),
-        pytest.param(lambda: pochhammer(Fraction(1, 2), 2.0), "j must be an int, got 2.0",
-                     id="pochhammer-j=2.0"),
-        pytest.param(lambda: pochhammer(1, -1), "need j >= 0, got -1", id="pochhammer-j=-1"),
+        # A multiplicity label m is an int, and within m_range(n, k) wherever
+        # it labels a basis vector; one rule, characters.check_m, words that.
+        pytest.param(lambda: zeta(TINY, 1, 1.0), "m must be an int, got 1.0", id="zeta-m=1.0"),
+        pytest.param(lambda: xi(TINY, 1, True), "m must be an int, got True", id="xi-m=True"),
+        pytest.param(lambda: g3_diagonal_coeff(TINY, 1, 0.0), "m must be an int, got 0.0",
+                     id="g3_diagonal_coeff-m=0.0"),
+        pytest.param(lambda: g3_diagonal_coeff(BlockTriple(2, 2, 2), 1, 7),
+                     "m = 7 outside [0, 1] for n = (2, 2, 2), k = 1", id="g3_diagonal_coeff-m=7"),
+        pytest.param(lambda: HahnContext(BlockTriple(2, 2, 2), 1, 7),
+                     "m = 7 outside [0, 1] for n = (2, 2, 2), k = 1", id="HahnContext-m=7"),
+        # Scalars are exact: an int or a Fraction, never a float or a bool.
+        pytest.param(lambda: DegreeTriple(2, 1, 0, 0.1), "kappa must be an int or a Fraction, got 0.1",
+                     id="DegreeTriple-kappa=0.1"),
+        pytest.param(lambda: DegreeTriple(2, 1, 0, True),
+                     "kappa must be an int or a Fraction, got True", id="DegreeTriple-kappa=True"),
+        pytest.param(lambda: CoeffTable(TINY, 1, {(0, 0): 0.1}),
+                     "entry must be an int or a Fraction, got 0.1", id="CoeffTable-entry=0.1"),
+        pytest.param(lambda: CoeffTable(TINY, 1, {(1, 0): False}),
+                     "entry must be an int or a Fraction, got False", id="CoeffTable-entry=False"),
+        pytest.param(lambda: CoeffTable(TINY, 1, {}).scaled(0.1),
+                     "factor must be an int or a Fraction, got 0.1", id="CoeffTable.scaled-0.1"),
+        pytest.param(lambda: CoeffTable(TINY, 1, {}).scaled(True),
+                     "factor must be an int or a Fraction, got True", id="CoeffTable.scaled-True"),
+        pytest.param(lambda: InvariantExpansion(TINY, 1, {0: 0.1}),
+                     "coefficient must be an int or a Fraction, got 0.1",
+                     id="InvariantExpansion-coefficient=0.1"),
+        pytest.param(lambda: InvariantExpansion(TINY, 1, {1: True}),
+                     "coefficient must be an int or a Fraction, got True",
+                     id="InvariantExpansion-coefficient=True"),
+        # binom's arguments are ints; a bool is not one.
         pytest.param(lambda: binom(True, 1), "n must be an int, got True", id="binom-n=True"),
         pytest.param(lambda: binom(5.0, 2), "n must be an int, got 5.0", id="binom-n=5.0"),
         pytest.param(lambda: binom(5, 2.0), "k must be an int, got 2.0", id="binom-k=2.0"),

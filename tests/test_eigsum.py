@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import sphfn.eigsum
 from sphfn.characters import dim_two_row, multiplicity
 from sphfn.closed_form import phi_3cycle
-from sphfn.core import BlockTriple, complete_homogeneous
+from sphfn.core import BlockTriple
 from sphfn.eigsum import (
     DegreeTriple,
     ShiftedDegrees,
@@ -19,6 +19,8 @@ from sphfn.eigsum import (
     kappa_zero_diagnostic,
     shifted_degrees,
 )
+
+from arithmetic_reference import complete_homogeneous
 
 
 def small_triples(max_block):
@@ -59,6 +61,11 @@ class TestDegreeTriple:
         d = DegreeTriple(2, 1, 0, "1/3")
         assert d.kappa == Fraction(1, 3)
         assert isinstance(d.kappa, Fraction)
+
+    def test_kappa_string_is_parsed_exactly(self):
+        """A decimal string is the exact decimal, not the float it rounds to."""
+        assert DegreeTriple(2, 1, 0, "0.1").kappa == Fraction(1, 10)
+        assert DegreeTriple(2, 1, 0, 3).kappa == 3
 
 
 class TestShiftedDegrees:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from sphfn import hahn, linalg
 from sphfn.characters import m_range, multiplicity
-from sphfn.core import BlockTriple, pochhammer
+from sphfn.core import BlockTriple
 from sphfn.hahn import (
     CoeffTable,
     HahnContext,
@@ -19,6 +19,8 @@ from sphfn.hahn import (
     psi2,
     psi_table,
 )
+
+from arithmetic_reference import pochhammer
 
 
 def small_triples(max_block):
