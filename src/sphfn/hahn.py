@@ -6,13 +6,15 @@ by the pair (u, v) counting chosen points in blocks 1 and 2. The tables built
 here evaluate the product of a one-variable Hahn polynomial in u + v and a
 two-variable one in (u, v).
 
-Those values are integers. _psi_values builds them as one integer column per
-HahnContext over a given grid; psi_table, expand_in_psi_basis and
-InvariantExpansion.as_table each build the columns they read on every call,
-and nothing here is cached. hahn_E, psi1 and psi2 evaluate at given points.
+A CoeffTable holds integer numerators over one scale, and builds Fractions
+only for get and items. The psi values are integers: _psi_values builds the
+columns of one (n, k) in one pass, and those of the most recent (n, k) are
+kept for psi_table, expand_in_psi_basis and InvariantExpansion.as_table.
+hahn_E, psi1 and psi2 evaluate at given points.
 """
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -45,17 +47,14 @@ def _hahn_weights(m: int, alpha: int, beta: int) -> list[int]:
     """The t-free integers (-1)^i C(m, i) (beta-m+1)_i (alpha-m+1)_{m-i} of E_m."""
     if m < 0:
         raise ValueError(f"degree must be >= 0, got {m}")
-    lower = _rising(beta - m + 1, m)
-    upper = _rising(alpha - m + 1, m)
-    return [
-        (-1) ** i * math.comb(m, i) * lower[i] * upper[m - i] for i in range(m + 1)
-    ]
+    lower, upper = _rising(beta - m + 1, m), _rising(alpha - m + 1, m)
+    return [(-1) ** i * math.comb(m, i) * lower[i] * upper[m - i] for i in range(m + 1)]
 
 
-def _hahn_sum(weights: list[int], lower: list, upper: list):
-    """sum_i w_i (-t)_i (t-gamma)_{m-i}, given lower = _rising(-t, m) and
-    upper = _rising(t - gamma, m); an integer when t and gamma are."""
-    return sum(map(operator.mul, weights, map(operator.mul, lower, reversed(upper))))
+def _hahn_E(m: int, alpha: int, beta: int, gamma, t):
+    """hahn_E's body, unchecked; an int when gamma and t are."""
+    terms = map(operator.mul, _rising(-t, m), reversed(_rising(t - gamma, m)))
+    return sum(map(operator.mul, _hahn_weights(m, alpha, beta), terms))
 
 
 def hahn_E(m: int, alpha: int, beta: int, gamma, t) -> Fraction:
@@ -65,16 +64,13 @@ def hahn_E(m: int, alpha: int, beta: int, gamma, t) -> Fraction:
 
     m, alpha and beta must be ints and gamma and t ints or Fractions, so the
     sum is exact; a float or a bool raises ValueError naming the argument.
-    The t-free weights and the t-dependent sum are split so that psi_table
-    can compute the weights once per table and the rising factorials once
-    per axis value; this is the only body of E_m.
+    The package calls the body, _hahn_E, unchecked on ints it built itself.
     """
     for name, value in (("m", m), ("alpha", alpha), ("beta", beta)):
         check_int(name, value)
     check_rational("gamma", gamma)
     check_rational("t", t)
-    weights = _hahn_weights(m, alpha, beta)
-    return Fraction(_hahn_sum(weights, _rising(-t, m), _rising(t - gamma, m)))
+    return Fraction(_hahn_E(m, alpha, beta, gamma, t))
 
 
 def _check_n_k(n: BlockTriple, k: int) -> None:
@@ -97,27 +93,25 @@ class HahnContext:
         check_m(self.n, self.k, self.m)
 
 
-def _psi1_parameters(ctx: HahnContext):
+def _psi1_parameters(n: BlockTriple, k: int, m: int):
     """psi1's (degree, alpha, beta), and its (gamma, t) at t = u + v."""
-    n, k, m = ctx.n, ctx.k, ctx.m
     return (k - m, n.n3, n.n1 + n.n2 - 2 * m), lambda t: (k - m, k - t)
 
 
-def _psi2_parameters(ctx: HahnContext):
+def _psi2_parameters(n: BlockTriple, k: int, m: int):
     """psi2's (degree, alpha, beta), and its (gamma, t) at (u, v)."""
-    n = ctx.n
-    return (ctx.m, n.n2, n.n1), lambda u, v: (u + v, v)
+    return (m, n.n2, n.n1), lambda u, v: (u + v, v)
 
 
 def psi1(ctx: HahnContext, t) -> Fraction:
     """One-variable factor, a polynomial of degree k - m in t = u + v."""
-    shape, at = _psi1_parameters(ctx)
+    shape, at = _psi1_parameters(ctx.n, ctx.k, ctx.m)
     return hahn_E(*shape, *at(t))
 
 
 def psi2(ctx: HahnContext, u, v) -> Fraction:
     """Two-variable factor, a degree-m Hahn polynomial in v on the line u + v."""
-    shape, at = _psi2_parameters(ctx)
+    shape, at = _psi2_parameters(ctx.n, ctx.k, ctx.m)
     return hahn_E(*shape, *at(u, v))
 
 
@@ -132,9 +126,10 @@ def admissible_grid(n: BlockTriple, k: int) -> list[tuple[int, int]]:
 
 
 class CoeffTable:
-    """Coefficients of an invariant vector, one Fraction per orbit label (u, v)."""
+    """Coefficients of an invariant vector: one integer per orbit label (u, v), in grid
+    order, over one scale > 0 in lowest terms, so a zero table has scale 1."""
 
-    __slots__ = ("_n", "_k", "_entries")
+    __slots__ = ("_n", "_k", "_entries", "_scale")
 
     def __init__(self, n: BlockTriple, k: int, entries: Mapping[tuple[int, int], object]):
         _check_n_k(n, k)
@@ -144,16 +139,20 @@ class CoeffTable:
             raise ValueError(f"labels {sorted(bad)} outside the grid for k = {k}")
         for value in entries.values():
             check_rational("entry", value)
-        self._n = n
-        self._k = k
-        # In grid order, which is sorted: labels(), items() and the hash read it as is.
-        self._entries = {uv: Fraction(entries.get(uv, 0)) for uv in grid}
+        values = [entries.get(uv, 0) for uv in grid]
+        # Over the lcm of the reduced denominators the numerators are in lowest terms.
+        scale = math.lcm(*(x.denominator for x in values))
+        self._n, self._k, self._scale = n, k, scale
+        self._entries = {uv: x.numerator * scale // x.denominator for uv, x in zip(grid, values)}
 
     @classmethod
-    def _from_grid(cls, n: BlockTriple, k: int, grid: Iterable, values: Iterable) -> "CoeffTable":
-        """Fractions in the order of grid = admissible_grid(n, k), taken unchecked."""
+    def _from_grid(cls, n: BlockTriple, k: int, grid: Iterable, values: list, scale: int):
+        """Integers over scale > 0 in the order of admissible_grid(n, k), unchecked, reduced."""
+        g = math.gcd(scale, *values)
+        if g > 1:
+            values, scale = [x // g for x in values], scale // g
         table = object.__new__(cls)
-        table._n, table._k, table._entries = n, k, dict(zip(grid, values))
+        table._n, table._k, table._entries, table._scale = n, k, dict(zip(grid, values)), scale
         return table
 
     @property
@@ -166,58 +165,79 @@ class CoeffTable:
 
     def get(self, u: int, v: int) -> Fraction:
         """Entry at (u, v); zero off the grid, so boundary cases need no care."""
-        return self._entries.get((u, v), ZERO)
+        return Fraction(self._entries[u, v], self._scale) if (u, v) in self._entries else ZERO
 
     def labels(self) -> list[tuple[int, int]]:
         return list(self._entries)
 
     def items(self) -> Iterable[tuple[tuple[int, int], Fraction]]:
-        return self._entries.items()
+        return {uv: Fraction(x, self._scale) for uv, x in self._entries.items()}.items()
 
     def is_zero(self) -> bool:
-        return all(value == 0 for value in self._entries.values())
+        return not any(self._entries.values())
 
     def scaled(self, factor) -> "CoeffTable":
         check_rational("factor", factor)
-        factor = Fraction(factor)
-        values = [factor * x for x in self._entries.values()]
-        return CoeffTable._from_grid(self._n, self._k, self._entries, values)
+        values = [factor.numerator * x for x in self._entries.values()]
+        scale = self._scale * factor.denominator
+        return CoeffTable._from_grid(self._n, self._k, self._entries, values, scale)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CoeffTable):
             return NotImplemented
-        return (
-            self._n == other._n
-            and self._k == other._k
-            and self._entries == other._entries
-        )
+        mine, theirs = (self._n, self._k, self._scale), (other._n, other._k, other._scale)
+        return mine == theirs and self._entries == other._entries
 
     def __hash__(self):
-        return hash((self._n, self._k, tuple(self._entries.items())))
+        return hash((self._n, self._k, self._scale, tuple(self._entries.values())))
 
     def __repr__(self) -> str:
         nonzero = {uv: str(x) for uv, x in self.items() if x != 0}
         return f"CoeffTable(n={self._n.sizes}, k={self._k}, {nonzero})"
 
 
-def _psi_values(ctx: HahnContext, grid: list[tuple[int, int]]) -> list[int]:
-    """The integers psi1(u + v) psi2(u, v) at the labels of grid, in order.
+def _psi_values(n: BlockTriple, k: int, ms: list[int], grid: list) -> list[list[int]]:
+    """The integer columns psi1(u + v) psi2(u, v) at the labels of grid, one per m in ms.
 
-    Each factor's Hahn weights are taken once and psi1 once per value of
-    u + v. psi2 at (u, v) has t = v and gamma = u + v, so its sum reads
-    (-v)_i and (t - gamma)_{m-i} = (-u)_{m-i} off one rising list per axis value."""
-    (degree, *first_shape), first_at = _psi1_parameters(ctx)
-    first_weights = _hahn_weights(degree, *first_shape)
-    second_weights = _hahn_weights(*_psi2_parameters(ctx)[0])
-    first_factor = {}
-    for t in {u + v for u, v in grid}:
-        gamma, s = first_at(t)
-        first_factor[t] = _hahn_sum(first_weights, _rising(-s, degree), _rising(s - gamma, degree))
-    axis = [_rising(-x, ctx.m) for x in range(ctx.k + 1)]
-    return [first_factor[u + v] * _hahn_sum(second_weights, axis[v], axis[u]) for u, v in grid]
+    Both factors are sums sum_i w_i (-b)_i (-a)_{d-i}, with (a, b) = (u, v) for psi2 and
+    (t - m, k - t) for psi1 at t = u + v. (-x)_i is 0 past i = x, so one axis of (-x)_i,
+    i <= x <= k, serves all, and each sum runs over max(0, d - a) <= i <= min(d, b) only:
+    empty for psi2 where u + v < m, and the one term i = k - t for psi1 where t >= m.
+    """
+    axis = [_rising(-x, x) for x in range(k + 1)]
+    columns = []
+    for m in ms:
+        first_weights = _hahn_weights(*_psi1_parameters(n, k, m)[0])
+        second_weights = _hahn_weights(*_psi2_parameters(n, k, m)[0])
+        first = [0] * m + [
+            first_weights[k - t] * axis[k - t][-1] * axis[t - m][-1] for t in range(m, k + 1)
+        ]
+        # psi2's i-th term is lows[v][i] highs[u][i - max(0, m - u)]; map stops at min(m, v).
+        lows = [list(map(operator.mul, second_weights, a)) for a in axis]
+        highs = [a[min(u, m)::-1] for u, a in enumerate(axis)]
+        columns.append([
+            first[u + v] * sum(map(operator.mul, lows[v] if u >= m else lows[v][m - u:], highs[u]))
+            for u, v in grid
+        ])
+    return columns
+
+
+@functools.lru_cache(maxsize=1)
+def _column_store(n: BlockTriple, k: int) -> tuple[list, dict[int, list[int]]]:
+    """The grid of the most recent (n, k) and the psi columns built on it so far, by m."""
+    return admissible_grid(n, k), {}
+
+
+def _psi_columns(n: BlockTriple, k: int, ms: list[int]) -> tuple[list, list[list[int]]]:
+    """The grid and the psi columns labeled ms, each built once while (n, k) is stored."""
+    grid, store = _column_store(n, k)
+    missing = [m for m in ms if m not in store]
+    if missing:
+        store.update(zip(missing, _psi_values(n, k, missing, grid)))
+    return grid, [store[m] for m in ms]
 
 
 def psi_table(ctx: HahnContext) -> CoeffTable:
     """The invariant vector labeled m over the orbit grid: psi1(u + v) psi2(u, v)."""
-    grid = admissible_grid(ctx.n, ctx.k)
-    return CoeffTable._from_grid(ctx.n, ctx.k, grid, map(Fraction, _psi_values(ctx, grid)))
+    grid, (column,) = _psi_columns(ctx.n, ctx.k, [ctx.m])
+    return CoeffTable._from_grid(ctx.n, ctx.k, grid, column, 1)

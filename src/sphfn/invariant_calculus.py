@@ -9,6 +9,9 @@ does. Each p_i, in block b_i, is chosen (weight x_b_i) or not (n_b_i - x_b_i);
 a chosen p_i is the image of p_(i-1), so that pattern reads f at x with one
 point fewer in b_i and one more in b_(i-1). The image is the weighted sum
 over the 2^r patterns divided by the product of the n_b.
+
+Every operator here reads and writes a table's integers and scale, and the
+psi columns of hahn's store; none builds a Fraction per label.
 """
 from __future__ import annotations
 
@@ -21,7 +24,8 @@ from typing import Mapping
 from . import linalg
 from .characters import m_range
 from .core import ZERO, BlockTriple, check_rational, pair_blocks
-from .hahn import CoeffTable, HahnContext, _check_n_k, _psi_values, admissible_grid, psi1, psi2
+from .hahn import CoeffTable, HahnContext, _check_n_k, _hahn_E, _psi_columns
+from .hahn import _psi1_parameters, _psi2_parameters
 
 __all__ = [
     "check_difference_equation",
@@ -40,11 +44,11 @@ def check_difference_equation(table: CoeffTable) -> bool:
     Membership of the encoded vector in the degree-k module is equivalent to
     (n1-u) f(u+1, v) + (n2-v) f(u, v+1) + (n3-k+1+u+v) f(u, v) = 0 at every
     label (u, v) of the degree-(k-1) rectangle u + v <= k - 1, with f read as
-    zero off the grid. The table is scaled to integers once.
+    zero off the grid. It is checked on the numerators, the entries times
+    the table's one positive scale.
     """
     n, k = table.n, table.k
-    values, _ = linalg.over_common_denominator(x for _, x in table.items())
-    f = dict(zip(table.labels(), values))
+    f = table._entries
     for u in range(min(n.n1, k - 1) + 1):
         for v in range(min(n.n2, k - 1 - u) + 1):
             if (
@@ -59,18 +63,18 @@ def check_difference_equation(table: CoeffTable) -> bool:
 def _averaged_cycle(table: CoeffTable, blocks: tuple[int, ...]) -> CoeffTable:
     """The module docstring's rule for ascending blocks, summed in integers.
 
-    The scaled table is laid out flat with a border of zeros, label (u, v)
+    The table's numerators are laid out flat with a border of zeros, label (u, v)
     at (u + 1) * width + v + 1, so each pattern's source is one fixed offset
     from the label and reads 0 off the grid. The weights of a label's
     patterns are the products of one of (x_b, n_b - x_b) per block, in the
-    order itertools.product gives both; the image has one denominator.
+    order itertools.product gives both; the image is over the table's scale
+    times the product of the n_b.
     """
     n, k = table.n, table.k
     grid = table.labels()
-    values, scale = linalg.over_common_denominator(x for _, x in table.items())
     width = k + 3
     flat = [0] * (width * width)
-    for (u, v), x in zip(grid, values):
+    for (u, v), x in table._entries.items():
         flat[(u + 1) * width + v + 1] = x
     offsets = []
     for chosen in itertools.product((True, False), repeat=len(blocks)):
@@ -80,7 +84,6 @@ def _averaged_cycle(table: CoeffTable, blocks: tuple[int, ...]) -> CoeffTable:
             step[blocks[i - 1] - 1] += chosen[i]
         offsets.append(step[0] * width + step[1])
     sizes = [n.size(b) for b in blocks]
-    denominator = scale * math.prod(sizes)
     entries = []
     for u, v in grid:
         x = (u, v, k - u - v)
@@ -91,8 +94,8 @@ def _averaged_cycle(table: CoeffTable, blocks: tuple[int, ...]) -> CoeffTable:
             source = flat[here + offset]
             if source:
                 total += weight * source
-        entries.append(Fraction(total, denominator))
-    return CoeffTable._from_grid(n, k, grid, entries)
+        entries.append(total)
+    return CoeffTable._from_grid(n, k, grid, entries, table._scale * math.prod(sizes))
 
 
 def apply_rho_g2(table: CoeffTable, pair: tuple[int, int] = (1, 2)) -> CoeffTable:
@@ -120,15 +123,20 @@ def extract_leading_coeff(table: CoeffTable, m: int) -> Fraction:
     expand_in_psi_basis shows.
     """
     n, k = table.n, table.k
-    ctx = HahnContext(n, k, m)
+    HahnContext(n, k, m)  # checks m against m_range(n, k)
+    f = table._entries
     for u in range(min(m - 1, n.n1 + 1)):
-        if table.get(u, 0) != 0:
+        if f.get((u, 0)):
             raise ValueError(
                 f"edge value at ({u}, 0) is nonzero; components below {m - 1} present"
             )
-    lead = psi1(ctx, m) * psi2(ctx, m, 0)
-    correction = Fraction(m * (k - m - n.n3), n.n1 + n.n2 - 2 * m + 2)
-    return (table.get(m, 0) - correction * table.get(m - 1, 0)) / lead
+    # psi_m(m, 0) through hahn_E's body: n, k and m were checked just above.
+    (first, at_first), (second, at_second) = _psi1_parameters(n, k, m), _psi2_parameters(n, k, m)
+    lead = _hahn_E(*first, *at_first(m)) * _hahn_E(*second, *at_second(m, 0))
+    # The correction m (k - m - n3) / (n1 + n2 - 2m + 2) put over its denominator.
+    over = n.n1 + n.n2 - 2 * m + 2
+    difference = f.get((m, 0), 0) * over - m * (k - m - n.n3) * f.get((m - 1, 0), 0)
+    return Fraction(difference, over * table._scale * lead)
 
 
 class InvariantExpansion:
@@ -168,14 +176,13 @@ class InvariantExpansion:
     def as_table(self) -> CoeffTable:
         """The combination of the psi columns, summed in integers over one denominator."""
         n, k = self._n, self._k
-        grid = admissible_grid(n, k)
         coeffs, common = linalg.over_common_denominator(self._coeffs.values())
+        used = [(m, c) for m, c in zip(self._coeffs, coeffs) if c]
+        grid, columns = _psi_columns(n, k, [m for m, _ in used])
         totals = [0] * len(grid)
-        for m, c in zip(self._coeffs, coeffs):
-            if c:
-                column = _psi_values(HahnContext(n, k, m), grid)
-                totals = [total + c * x for total, x in zip(totals, column)]
-        return CoeffTable._from_grid(n, k, grid, (Fraction(x, common) for x in totals))
+        for (_, c), column in zip(used, columns):
+            totals = [total + c * x for total, x in zip(totals, column)]
+        return CoeffTable._from_grid(n, k, grid, totals, common)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, InvariantExpansion):
@@ -210,9 +217,8 @@ def expand_in_psi_basis(table: CoeffTable) -> InvariantExpansion:
         if table.is_zero():
             return InvariantExpansion(n, k, {})
         raise ValueError("nonzero table but the basis is empty")
-    grid = table.labels()
-    values, scale = linalg.over_common_denominator(x for _, x in table.items())
-    columns = [_psi_values(HahnContext(n, k, m), grid) for m in indices]
+    grid, columns = _psi_columns(n, k, list(indices))
+    values, scale = list(table._entries.values()), table._scale
     # The table times scale is sum_j coords[j] columns[j] / common, with
     # common growing by the part of each pivot the residual leaves.
     coords, common = [], 1

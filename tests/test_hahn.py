@@ -201,7 +201,7 @@ class TestEdgeDiagonal:
             n, k, m = ctx.n, ctx.k, ctx.m
             assert (m, 0) in admissible_grid(n, k), ctx
             edge = [(u, 0) for u in range(m + 1)]
-            values = hahn._psi_values(ctx, edge)
+            (values,) = hahn._psi_values(n, k, [m], edge)
             assert values[:m] == [0] * m, ctx
             expected = (
                 pochhammer(n.n1 + n.n2 - m - k + 1, k - m)
@@ -317,8 +317,8 @@ class TestPsiTable:
         """
         reference = functools.cache(reference_hahn_E)
         for ctx in contexts(9):
-            first_shape, first_at = hahn._psi1_parameters(ctx)
-            second_shape, second_at = hahn._psi2_parameters(ctx)
+            first_shape, first_at = hahn._psi1_parameters(ctx.n, ctx.k, ctx.m)
+            second_shape, second_at = hahn._psi2_parameters(ctx.n, ctx.k, ctx.m)
             for (u, v), value in psi_table(ctx).items():
                 expected = reference(*first_shape, *first_at(u + v)) * reference(
                     *second_shape, *second_at(u, v)

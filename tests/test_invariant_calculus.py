@@ -1,9 +1,10 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sphfn import linalg
@@ -137,12 +138,8 @@ def arbitrary_tables(draw):
 
 
 @st.composite
-def expansions(draw):
-    n = BlockTriple(
-        draw(st.integers(min_value=1, max_value=3)),
-        draw(st.integers(min_value=1, max_value=3)),
-        draw(st.integers(min_value=1, max_value=3)),
-    )
+def expansions(draw, max_block=3):
+    n = BlockTriple(*(draw(st.integers(min_value=1, max_value=max_block)) for _ in range(3)))
     k = draw(st.integers(min_value=0, max_value=n.N // 2))
     m_lower, m_upper = m_range(n, k)
     coeff = st.fractions(
@@ -150,6 +147,15 @@ def expansions(draw):
     )
     coeffs = {m: draw(coeff) for m in range(m_lower, m_upper + 1)}
     return InvariantExpansion(n, k, coeffs)
+
+
+@st.composite
+def hahn_contexts(draw, max_block=6):
+    n = BlockTriple(*(draw(st.integers(min_value=1, max_value=max_block)) for _ in range(3)))
+    k = draw(st.integers(min_value=0, max_value=n.N // 2))
+    m_lower, m_upper = m_range(n, k)
+    assume(m_lower <= m_upper)
+    return HahnContext(n, k, draw(st.integers(min_value=m_lower, max_value=m_upper)))
 
 
 @st.composite
@@ -507,7 +513,64 @@ class TestExpansion:
         expected = expansion_outcome(reference_expand_in_psi_basis, table)
         assert expansion_outcome(expand_in_psi_basis, table) == expected
 
-    @settings(max_examples=40, deadline=None)
-    @given(expansions())
+    @settings(max_examples=60, deadline=None)
+    @given(expansions(max_block=6))
     def test_round_trip(self, expansion):
         assert expand_in_psi_basis(expansion.as_table()) == expansion
+
+
+def assert_matches_fraction_reference(table):
+    """The table equals, with an equal hash, the checked constructor fed its
+    own Fractions, and holds its integers in lowest terms: scale 1 if zero."""
+    reference = CoeffTable(table.n, table.k, dict(table.items()))
+    assert table == reference and hash(table) == hash(reference), table
+    assert table._scale > 0 and math.gcd(table._scale, *table._entries.values()) == 1, table
+    assert table._scale == 1 or not table.is_zero(), table
+
+
+class TestIntegerTables:
+    """Each producer of integer tables against the Fraction values it reports."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(hahn_contexts(), arbitrary_tables(), st.fractions(max_denominator=9), st.data())
+    def test_producers_agree_with_the_fraction_reference(self, ctx, other, factor, data):
+        table = psi_table(ctx)
+        for source in (table, other):
+            images = [apply_rho_g2(source, pair) for pair in PAIRS] + [apply_rho_g3(source)]
+            for image in [source, *images, source.scaled(factor), source.scaled(0)]:
+                assert_matches_fraction_reference(image)
+        m_lower, m_upper = m_range(ctx.n, ctx.k)
+        coeff = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+        coeffs = {m: data.draw(coeff) for m in range(m_lower, m_upper + 1)}
+        assert_matches_fraction_reference(InvariantExpansion(ctx.n, ctx.k, coeffs).as_table())
+        for vec in invariants_in_Vk(ctx.n, ctx.k):
+            assert_matches_fraction_reference(coeff_table_from_invariant(vec, ctx.n))
+
+    def test_zero_tables_have_scale_one(self):
+        n = BlockTriple(2, 3, 2)
+        zero = CoeffTable(n, 3, {})
+        tables = [
+            zero,
+            CoeffTable(n, 3, {(1, 1): Fraction(0, 7)}),
+            psi_table(HahnContext(n, 3, 1)).scaled(0),
+            CoeffTable(n, 3, {(1, 1): Fraction(2, 7)}).scaled(Fraction(0, 5)),
+            InvariantExpansion(n, 3, {1: 0}).as_table(),
+            apply_rho_g3(zero),
+        ]
+        for table in tables:
+            assert_matches_fraction_reference(table)
+            assert table._scale == 1 and table == zero and repr(table) == repr(zero)
+
+    @settings(max_examples=60, deadline=None)
+    @given(expansions(max_block=6), st.data())
+    def test_one_label_moved_off_the_span_is_refused(self, expansion, data):
+        """For k >= 1 no table with one nonzero entry meets the difference
+        equation, so a member moved at one label is off the span."""
+        n, k = expansion.n, expansion.k
+        m_lower, m_upper = m_range(n, k)
+        assume(k >= 1 and m_lower <= m_upper)
+        entries = dict(expansion.as_table().items())
+        uv = data.draw(st.sampled_from(sorted(entries)))
+        entries[uv] += data.draw(st.fractions(max_denominator=5).filter(bool))
+        with pytest.raises(ValueError, match="^inconsistent linear system$"):
+            expand_in_psi_basis(CoeffTable(n, k, entries))
