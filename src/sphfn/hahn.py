@@ -8,13 +8,12 @@ two-variable one in (u, v).
 
 A CoeffTable holds integer numerators over one scale, and builds Fractions
 only for get and items. The psi values are integers: _psi_values builds the
-columns of one (n, k) in one pass, and those of the most recent (n, k) are
-kept for psi_table, expand_in_psi_basis and InvariantExpansion.as_table.
+columns of one (n, k) in one pass, on every call of psi_table,
+expand_in_psi_basis and InvariantExpansion.as_table; nothing is cached.
 hahn_E, psi1 and psi2 evaluate at given points.
 """
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -173,6 +172,10 @@ class CoeffTable:
     def items(self) -> Iterable[tuple[tuple[int, int], Fraction]]:
         return {uv: Fraction(x, self._scale) for uv, x in self._entries.items()}.items()
 
+    def _numerators(self) -> tuple[dict[tuple[int, int], int], int]:
+        """The integers by label, in grid order, and the scale they are over."""
+        return self._entries, self._scale
+
     def is_zero(self) -> bool:
         return not any(self._entries.values())
 
@@ -222,22 +225,8 @@ def _psi_values(n: BlockTriple, k: int, ms: list[int], grid: list) -> list[list[
     return columns
 
 
-@functools.lru_cache(maxsize=1)
-def _column_store(n: BlockTriple, k: int) -> tuple[list, dict[int, list[int]]]:
-    """The grid of the most recent (n, k) and the psi columns built on it so far, by m."""
-    return admissible_grid(n, k), {}
-
-
-def _psi_columns(n: BlockTriple, k: int, ms: list[int]) -> tuple[list, list[list[int]]]:
-    """The grid and the psi columns labeled ms, each built once while (n, k) is stored."""
-    grid, store = _column_store(n, k)
-    missing = [m for m in ms if m not in store]
-    if missing:
-        store.update(zip(missing, _psi_values(n, k, missing, grid)))
-    return grid, [store[m] for m in ms]
-
-
 def psi_table(ctx: HahnContext) -> CoeffTable:
     """The invariant vector labeled m over the orbit grid: psi1(u + v) psi2(u, v)."""
-    grid, (column,) = _psi_columns(ctx.n, ctx.k, [ctx.m])
+    grid = admissible_grid(ctx.n, ctx.k)
+    (column,) = _psi_values(ctx.n, ctx.k, [ctx.m], grid)
     return CoeffTable._from_grid(ctx.n, ctx.k, grid, column, 1)

@@ -8,10 +8,8 @@ embed_cycle builds it, moving the coordinate at E to g(E) as VkVector.apply
 does. Each p_i, in block b_i, is chosen (weight x_b_i) or not (n_b_i - x_b_i);
 a chosen p_i is the image of p_(i-1), so that pattern reads f at x with one
 point fewer in b_i and one more in b_(i-1). The image is the weighted sum
-over the 2^r patterns divided by the product of the n_b.
-
-Every operator here reads and writes a table's integers and scale, and the
-psi columns of hahn's store; none builds a Fraction per label.
+over the 2^r patterns divided by the product of the n_b. Every operator
+here works on a table's integers and scale, never a Fraction per label.
 """
 from __future__ import annotations
 
@@ -24,8 +22,8 @@ from typing import Mapping
 from . import linalg
 from .characters import m_range
 from .core import ZERO, BlockTriple, check_rational, pair_blocks
-from .hahn import CoeffTable, HahnContext, _check_n_k, _hahn_E, _psi_columns
-from .hahn import _psi1_parameters, _psi2_parameters
+from .hahn import CoeffTable, HahnContext, _check_n_k, _hahn_E, _psi_values
+from .hahn import _psi1_parameters, _psi2_parameters, admissible_grid
 
 __all__ = [
     "check_difference_equation",
@@ -44,11 +42,10 @@ def check_difference_equation(table: CoeffTable) -> bool:
     Membership of the encoded vector in the degree-k module is equivalent to
     (n1-u) f(u+1, v) + (n2-v) f(u, v+1) + (n3-k+1+u+v) f(u, v) = 0 at every
     label (u, v) of the degree-(k-1) rectangle u + v <= k - 1, with f read as
-    zero off the grid. It is checked on the numerators, the entries times
-    the table's one positive scale.
+    zero off the grid. It is checked on the table's integer numerators.
     """
     n, k = table.n, table.k
-    f = table._entries
+    f, _ = table._numerators()
     for u in range(min(n.n1, k - 1) + 1):
         for v in range(min(n.n2, k - 1 - u) + 1):
             if (
@@ -67,14 +64,13 @@ def _averaged_cycle(table: CoeffTable, blocks: tuple[int, ...]) -> CoeffTable:
     at (u + 1) * width + v + 1, so each pattern's source is one fixed offset
     from the label and reads 0 off the grid. The weights of a label's
     patterns are the products of one of (x_b, n_b - x_b) per block, in the
-    order itertools.product gives both; the image is over the table's scale
-    times the product of the n_b.
+    order itertools.product gives both; the image is over scale * prod(n_b).
     """
     n, k = table.n, table.k
-    grid = table.labels()
+    numerators, scale = table._numerators()
     width = k + 3
     flat = [0] * (width * width)
-    for (u, v), x in table._entries.items():
+    for (u, v), x in numerators.items():
         flat[(u + 1) * width + v + 1] = x
     offsets = []
     for chosen in itertools.product((True, False), repeat=len(blocks)):
@@ -85,7 +81,7 @@ def _averaged_cycle(table: CoeffTable, blocks: tuple[int, ...]) -> CoeffTable:
         offsets.append(step[0] * width + step[1])
     sizes = [n.size(b) for b in blocks]
     entries = []
-    for u, v in grid:
+    for u, v in numerators:
         x = (u, v, k - u - v)
         pairs = [(x[b - 1], size - x[b - 1]) for b, size in zip(blocks, sizes)]
         here = (u + 1) * width + v + 1
@@ -95,7 +91,7 @@ def _averaged_cycle(table: CoeffTable, blocks: tuple[int, ...]) -> CoeffTable:
             if source:
                 total += weight * source
         entries.append(total)
-    return CoeffTable._from_grid(n, k, grid, entries, table._scale * math.prod(sizes))
+    return CoeffTable._from_grid(n, k, numerators, entries, scale * math.prod(sizes))
 
 
 def apply_rho_g2(table: CoeffTable, pair: tuple[int, int] = (1, 2)) -> CoeffTable:
@@ -124,7 +120,7 @@ def extract_leading_coeff(table: CoeffTable, m: int) -> Fraction:
     """
     n, k = table.n, table.k
     HahnContext(n, k, m)  # checks m against m_range(n, k)
-    f = table._entries
+    f, scale = table._numerators()
     for u in range(min(m - 1, n.n1 + 1)):
         if f.get((u, 0)):
             raise ValueError(
@@ -136,7 +132,7 @@ def extract_leading_coeff(table: CoeffTable, m: int) -> Fraction:
     # The correction m (k - m - n3) / (n1 + n2 - 2m + 2) put over its denominator.
     over = n.n1 + n.n2 - 2 * m + 2
     difference = f.get((m, 0), 0) * over - m * (k - m - n.n3) * f.get((m - 1, 0), 0)
-    return Fraction(difference, over * table._scale * lead)
+    return Fraction(difference, over * scale * lead)
 
 
 class InvariantExpansion:
@@ -178,9 +174,9 @@ class InvariantExpansion:
         n, k = self._n, self._k
         coeffs, common = linalg.over_common_denominator(self._coeffs.values())
         used = [(m, c) for m, c in zip(self._coeffs, coeffs) if c]
-        grid, columns = _psi_columns(n, k, [m for m, _ in used])
+        grid = admissible_grid(n, k)
         totals = [0] * len(grid)
-        for (_, c), column in zip(used, columns):
+        for (_, c), column in zip(used, _psi_values(n, k, [m for m, _ in used], grid)):
             totals = [total + c * x for total, x in zip(totals, column)]
         return CoeffTable._from_grid(n, k, grid, totals, common)
 
@@ -217,8 +213,9 @@ def expand_in_psi_basis(table: CoeffTable) -> InvariantExpansion:
         if table.is_zero():
             return InvariantExpansion(n, k, {})
         raise ValueError("nonzero table but the basis is empty")
-    grid, columns = _psi_columns(n, k, list(indices))
-    values, scale = list(table._entries.values()), table._scale
+    numerators, scale = table._numerators()
+    grid, values = list(numerators), list(numerators.values())
+    columns = _psi_values(n, k, list(indices), grid)
     # The table times scale is sum_j coords[j] columns[j] / common, with
     # common growing by the part of each pivot the residual leaves.
     coords, common = [], 1

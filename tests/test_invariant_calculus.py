@@ -524,8 +524,9 @@ def assert_matches_fraction_reference(table):
     own Fractions, and holds its integers in lowest terms: scale 1 if zero."""
     reference = CoeffTable(table.n, table.k, dict(table.items()))
     assert table == reference and hash(table) == hash(reference), table
-    assert table._scale > 0 and math.gcd(table._scale, *table._entries.values()) == 1, table
-    assert table._scale == 1 or not table.is_zero(), table
+    numerators, scale = table._numerators()
+    assert scale > 0 and math.gcd(scale, *numerators.values()) == 1, table
+    assert scale == 1 or not table.is_zero(), table
 
 
 class TestIntegerTables:
@@ -559,7 +560,7 @@ class TestIntegerTables:
         ]
         for table in tables:
             assert_matches_fraction_reference(table)
-            assert table._scale == 1 and table == zero and repr(table) == repr(zero)
+            assert table._numerators()[1] == 1 and table == zero and repr(table) == repr(zero)
 
     @settings(max_examples=60, deadline=None)
     @given(expansions(max_block=6), st.data())
